@@ -17,6 +17,7 @@
 #include "core/evaluation.hpp"
 #include "core/sweep_report.hpp"
 #include "microbench/suite.hpp"
+#include "obs/switchboard.hpp"
 
 namespace {
 
@@ -122,11 +123,11 @@ int main(int argc, char** argv) {
   CliParser cli("fig01_characterization",
                 "Fig. 1 — LiGen/Cronos characterization on the V100");
   core::add_fault_cli_options(cli);
-  core::add_observability_cli_options(cli);
+  obs::add_cli_options(cli);
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  core::enable_observability_from_cli(cli);
+  obs::enable_from_cli(cli);
 
   bench::Rig rig;
   rig.v100_sim.set_fault_config(core::fault_config_from_cli(cli));
@@ -160,7 +161,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\n";
   core::print_sweep_report(std::cout, report);
-  core::write_observability_outputs(std::cout, cli, "fig01_characterization",
-                                    &report);
+  obs::write_outputs(std::cout, "fig01_characterization",
+                     core::sweep_report_to_json(report));
   return 0;
 }

@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   options.min_time_ns = cli.option_double("min-time-ns");
   const std::string strict_prefix = cli.option("strict-prefix");
 
-  const json::Value baseline = benchreport::load_file(cli.positional()[0]);
-  const json::Value current = benchreport::load_file(cli.positional()[1]);
+  const json::Value baseline = json::read_file(cli.positional()[0]);
+  const json::Value current = json::read_file(cli.positional()[1]);
   if (baseline.at("mode").as_string() != current.at("mode").as_string()) {
     std::fprintf(stderr,
                  "warning: comparing different modes (%s vs %s); timings are "

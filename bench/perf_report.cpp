@@ -21,6 +21,7 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "core/sweep_report.hpp"
+#include "obs/switchboard.hpp"
 
 namespace {
 
@@ -55,7 +56,7 @@ void run_micro_benchmark(json::Value& report, const std::string& bench_dir,
   DSEM_ENSURE(rc == 0, name + " failed with status " + std::to_string(rc));
   const std::size_t merged =
       benchreport::merge_google_benchmark(report, name,
-                                          benchreport::load_file(tmp));
+                                          json::read_file(tmp));
   DSEM_ENSURE(merged > 0, name + " produced no benchmark entries");
   std::remove(tmp.c_str());
 }
@@ -123,17 +124,18 @@ int main(int argc, char** argv) {
 
   std::printf("[perf_report] fig01 pipeline (%s)\n", smoke ? "smoke" : "full");
   std::fflush(stdout);
-  metrics::set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   metrics::Registry::global().clear();
   core::SweepReport sweep_report;
   const double wall_s = run_pipeline(smoke, sweep_report);
   benchreport::set_pipeline(
       report, "fig01", wall_s,
-      core::run_manifest("perf_report/fig01", &sweep_report));
-  metrics::set_enabled(false);
+      obs::run_manifest("perf_report/fig01",
+                        core::sweep_report_to_json(sweep_report)));
+  set_sink_enabled(Sink::kMetrics, false);
 
   benchreport::validate(report);
-  benchreport::write_file(out, report);
+  json::write_file(out, report);
   std::printf("[perf_report] %zu entries -> %s\n",
               report.at("benchmarks").as_array().size(), out.c_str());
   return 0;

@@ -19,13 +19,11 @@
 //  - SLO burn rates (latency objective over requests, deadline objective
 //    over jobs).
 //
-// --metrics additionally accepts a "dsem-metrics-v1" snapshot or a
-// "dsem-run-v1" manifest (--metrics-out) and prints its counters and
-// gauges next to the ledger view.
+// --metrics additionally reads a "dsem-run-v1" manifest (--metrics-out or
+// DSEM_METRICS) and prints its counters and gauges next to the ledger
+// view.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -34,18 +32,11 @@
 #include "common/metrics.hpp"
 #include "common/table.hpp"
 #include "obs/ledger.hpp"
+#include "obs/switchboard.hpp"
 
 namespace {
 
 using namespace dsem;
-
-json::Value load_json(const std::string& path) {
-  std::ifstream in(path);
-  DSEM_ENSURE(in.good(), "cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return json::Value::parse(buffer.str());
-}
 
 double num(const json::Value& object, std::string_view key) {
   return object.at(key).as_number();
@@ -205,25 +196,20 @@ void print_slo(const json::Value& summary) {
 }
 
 void print_metrics(const std::string& path) {
-  json::Value doc = load_json(path);
-  // Accept either the snapshot itself or a dsem-run-v1 manifest wrapping
-  // one under "metrics".
-  const json::Value* snapshot = &doc;
-  if (const json::Value* schema = doc.find("schema");
-      schema != nullptr && schema->as_string() == "dsem-run-v1") {
-    snapshot = &doc.at("metrics");
-  }
-  DSEM_ENSURE(snapshot->at("schema").as_string() ==
+  const json::Value doc = json::read_file(path);
+  DSEM_ENSURE(doc.at("schema").as_string() == std::string(obs::kRunSchema),
+              "dsem_inspect: " + path + " is not a dsem-run-v1 manifest");
+  const json::Value& snapshot = doc.at("metrics");
+  DSEM_ENSURE(snapshot.at("schema").as_string() ==
                   std::string(metrics::kMetricsSchema),
-              "dsem_inspect: " + path + " is not a metrics snapshot or "
-              "run manifest");
+              "dsem_inspect: " + path + " embeds no dsem-metrics-v1 snapshot");
   print_banner(std::cout, "metrics snapshot (" + path + ")");
   Table table({"kind", "name", "value"});
-  for (const json::Value& counter : snapshot->at("counters").as_array()) {
+  for (const json::Value& counter : snapshot.at("counters").as_array()) {
     table.add_row({"counter", counter.at("name").as_string(),
                    fmt_g(num(counter, "total"))});
   }
-  for (const json::Value& gauge : snapshot->at("gauges").as_array()) {
+  for (const json::Value& gauge : snapshot.at("gauges").as_array()) {
     table.add_row({"gauge", gauge.at("name").as_string(),
                    fmt_g(num(gauge, "value"))});
   }
@@ -237,8 +223,8 @@ int main(int argc, char** argv) {
                 "Inspect a dsem-ledger-v1 attribution ledger: energy "
                 "attribution, miss causes, model drift, and SLO burn.");
   cli.add_option("metrics",
-                 "also print a dsem-metrics-v1 snapshot or dsem-run-v1 "
-                 "manifest from this path",
+                 "also print the metrics of a dsem-run-v1 manifest from "
+                 "this path",
                  "");
   cli.add_option("top", "rows in the top-energy tables", "10");
   if (!cli.parse(argc, argv)) {
@@ -248,7 +234,7 @@ int main(int argc, char** argv) {
     DSEM_ENSURE(cli.positional().size() == 1,
                 "usage: dsem_inspect LEDGER.json [--metrics RUN.json] "
                 "[--top N]");
-    const json::Value doc = load_json(cli.positional().front());
+    const json::Value doc = json::read_file(cli.positional().front());
     DSEM_ENSURE(doc.at("schema").as_string() ==
                     std::string(obs::kLedgerSchema),
                 "dsem_inspect: not a dsem-ledger-v1 document");

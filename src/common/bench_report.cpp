@@ -1,9 +1,7 @@
 #include "common/bench_report.hpp"
 
-#include <fstream>
 #include <map>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/table.hpp"
@@ -202,23 +200,6 @@ void print_compare(std::ostream& os, const CompareResult& result,
      << " regression(s), " << result.improvements.size()
      << " improvement(s), " << result.missing.size() << " missing, "
      << result.added.size() << " added\n";
-}
-
-json::Value load_file(const std::string& path) {
-  std::ifstream in(path);
-  DSEM_ENSURE(in.good(), "cannot open JSON file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  DSEM_ENSURE(!in.bad(), "failed reading JSON file: " + path);
-  return json::Value::parse(buffer.str());
-}
-
-void write_file(const std::string& path, const json::Value& value) {
-  std::ofstream out(path);
-  DSEM_ENSURE(out.good(), "cannot open output file: " + path);
-  value.write(out, 2);
-  out << "\n";
-  DSEM_ENSURE(out.good(), "failed writing output file: " + path);
 }
 
 } // namespace dsem::benchreport

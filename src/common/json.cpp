@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -110,6 +111,23 @@ void escape(std::ostream& os, std::string_view s) {
       }
     }
   }
+}
+
+Value read_file(const std::string& path) {
+  std::ifstream in(path);
+  DSEM_ENSURE(in.good(), "cannot open JSON file: " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  DSEM_ENSURE(!in.bad(), "failed reading JSON file: " + path);
+  return Value::parse(buffer.str());
+}
+
+void write_file(const std::string& path, const Value& value) {
+  std::ofstream out(path);
+  DSEM_ENSURE(out.good(), "cannot open output file: " + path);
+  value.write(out, 2);
+  out << "\n";
+  DSEM_ENSURE(out.good(), "failed writing output file: " + path);
 }
 
 namespace {

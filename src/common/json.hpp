@@ -114,4 +114,12 @@ private:
 /// Appends the JSON string-escape of `s` (no surrounding quotes) to `os`.
 void escape(std::ostream& os, std::string_view s);
 
+/// Reads and parses the JSON document at `path` (throws contract_error on
+/// I/O or parse failure).
+Value read_file(const std::string& path);
+
+/// Pretty-prints `value` (two-space indent) to `path` with a trailing
+/// newline (throws contract_error on I/O failure).
+void write_file(const std::string& path, const Value& value);
+
 } // namespace dsem::json

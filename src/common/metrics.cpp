@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,12 +12,6 @@
 #include "common/table.hpp"
 
 namespace dsem::metrics {
-
-namespace detail {
-
-std::atomic<bool> g_enabled{false};
-
-} // namespace detail
 
 std::size_t bucket_index(double value) noexcept {
   if (!(value > kHistogramMin)) {
@@ -113,32 +105,6 @@ Instrument& instrument(Shard& shard, std::string_view name, Kind kind,
       .first->second;
 }
 
-/// DSEM_METRICS=path: enable at load time, write the JSON at exit.
-std::string& env_metrics_path() {
-  static std::string* path = new std::string;
-  return *path;
-}
-
-void write_env_metrics() {
-  const std::string& path = env_metrics_path();
-  if (!path.empty()) {
-    write_json_file(path);
-  }
-}
-
-bool init_from_env() {
-  const char* env = std::getenv("DSEM_METRICS");
-  if (env == nullptr || *env == '\0') {
-    return false;
-  }
-  env_metrics_path() = env;
-  set_enabled(true);
-  std::atexit(write_env_metrics);
-  return true;
-}
-
-[[maybe_unused]] const bool g_env_initialized = init_from_env();
-
 } // namespace
 
 namespace detail {
@@ -180,10 +146,6 @@ void record_histogram(std::string_view name, double value, Reliability r) {
 }
 
 } // namespace detail
-
-void set_enabled(bool on) noexcept {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
 
 double HistogramSnapshot::quantile(double q) const {
   DSEM_ENSURE(q >= 0.0 && q <= 1.0, "quantile q must be in [0,1]");
@@ -436,7 +398,7 @@ json::Value Snapshot::to_json(bool deterministic_only) const {
 void Snapshot::write_table(std::ostream& os) const {
   InstrumentTable table({"p50", "p90", "p99"});
   const auto kind_cell = [](const char* kind, Reliability r) {
-    return r == Reliability::kWallClock ? std::string(kind) + "~"
+    return r == Reliability::kTimingDependent ? std::string(kind) + "~"
                                         : std::string(kind);
   };
   for (const HistogramSnapshot& h : histograms) {
@@ -458,14 +420,6 @@ void Snapshot::write_table(std::ostream& os) const {
      << counters.size() + gauges.size() + histograms.size()
      << " instruments; ~ = wall-clock, report-only)\n";
   table.print(os);
-}
-
-void write_json_file(const std::string& path) {
-  std::ofstream out(path);
-  DSEM_ENSURE(out.good(), "cannot open metrics output file: " + path);
-  Registry::global().snapshot().to_json(false).write(out, 2);
-  out << "\n";
-  DSEM_ENSURE(out.good(), "failed writing metrics output file: " + path);
 }
 
 } // namespace dsem::metrics

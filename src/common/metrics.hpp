@@ -14,8 +14,8 @@
 // permanently (regression-tested in tests/common/metrics_test.cpp).
 //
 // Determinism contract (mirrors SweepReport and the trace logical view):
-// every instrument is tagged Reliability::kDeterministic or kWallClock at
-// the call site.
+// every instrument is tagged Reliability::kDeterministic or
+// kTimingDependent (common/observe.hpp) at the call site.
 //  - Deterministic instruments aggregate values that are pure functions of
 //    seeds and grids (simulated seconds/joules, retry counts, grid sizes).
 //    Aggregation is order-independent — integer sums for counters, integer
@@ -23,19 +23,18 @@
 //    Snapshot view is bit-identical for any DSEM_THREADS. A histogram's
 //    floating-point `sum` is the one order-dependent aggregate, so it (and
 //    the mean) is excluded from the deterministic JSON view.
-//  - kWallClock instruments carry scheduling- or clock-dependent content
+//  - kTimingDependent instruments carry scheduling- or clock-dependent content
 //    (task tallies, cache hit/miss splits, training durations) and appear
 //    only in the full view.
 // Gauges are last-write-wins (ordered by a global update counter), which
 // is only deterministic for serial driver code: anything set from inside a
-// pool task must be tagged kWallClock.
+// pool task must be tagged kTimingDependent.
 //
-// Enabling: set the DSEM_METRICS environment variable to a path (the JSON
-// snapshot is written there at process exit), pass --metrics-out to the
-// CLI binaries, or call metrics::set_enabled(true) directly.
+// Enabling: DSEM_METRICS or --metrics-out (obs/switchboard.hpp; both write
+// a "dsem-run-v1" manifest embedding the snapshot), or
+// set_sink_enabled(Sink::kMetrics, true) directly.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -44,13 +43,9 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/observe.hpp"
 
 namespace dsem::metrics {
-
-enum class Reliability : std::uint8_t {
-  kDeterministic, ///< pure function of seeds/grid; safe across DSEM_THREADS
-  kWallClock,     ///< scheduling- or clock-dependent; full view only
-};
 
 enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 
@@ -71,8 +66,6 @@ double bucket_upper_bound(std::size_t index) noexcept;
 
 namespace detail {
 
-extern std::atomic<bool> g_enabled;
-
 void record_counter(std::string_view name, std::uint64_t delta,
                     Reliability r);
 void record_gauge(std::string_view name, double value, Reliability r);
@@ -83,13 +76,7 @@ void record_histogram(std::string_view name, double value, Reliability r);
 /// True when the global registry is recording. The only cost
 /// instrumentation pays when metrics are off: one relaxed atomic load and
 /// a branch.
-inline bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-
-/// Turns global recording on or off (DSEM_METRICS and --metrics-out call
-/// this).
-void set_enabled(bool on) noexcept;
+inline bool enabled() noexcept { return sink_enabled(Sink::kMetrics); }
 
 /// Monotonic named counter (integer deltas, so cross-shard aggregation is
 /// exact and order-independent).
@@ -101,10 +88,10 @@ inline void counter(std::string_view name, std::uint64_t delta = 1,
 }
 
 /// Point-in-time named value; last write wins across shards. Defaults to
-/// kWallClock because last-write order is a scheduling accident unless the
-/// writes are serial (see the determinism contract above).
+/// kTimingDependent because last-write order is a scheduling accident
+/// unless the writes are serial (see the determinism contract above).
 inline void gauge(std::string_view name, double value,
-                  Reliability r = Reliability::kWallClock) {
+                  Reliability r = Reliability::kTimingDependent) {
   if (enabled()) {
     detail::record_gauge(name, value, r);
   }
@@ -119,7 +106,7 @@ inline void histogram(std::string_view name, double value,
 }
 
 /// RAII wall-clock timer: observes the scope's elapsed seconds into
-/// histogram `name` (always kWallClock — wall time is never
+/// histogram `name` (always kTimingDependent — wall time is never
 /// deterministic). Cheap to construct when metrics are disabled.
 class ScopedTimer {
 public:
@@ -140,8 +127,7 @@ public:
           name_,
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start_)
-              .count(),
-          Reliability::kWallClock);
+              .count(), Reliability::kTimingDependent);
     }
   }
 
@@ -162,7 +148,7 @@ struct CounterSnapshot {
 
 struct GaugeSnapshot {
   std::string name;
-  Reliability reliability = Reliability::kWallClock;
+  Reliability reliability = Reliability::kTimingDependent;
   double value = 0.0;        ///< most recent write (global update order)
   std::uint64_t updates = 0; ///< number of writes
 };
@@ -211,7 +197,7 @@ struct Snapshot {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
 
-  /// Schema "dsem-metrics-v1". When `deterministic_only`, kWallClock
+  /// Schema "dsem-metrics-v1". When `deterministic_only`, kTimingDependent
   /// instruments and the order-dependent histogram fields (sum, mean) are
   /// dropped — the remainder is bit-identical for any DSEM_THREADS on a
   /// deterministic pipeline (golden-snapshot tested).
@@ -226,7 +212,7 @@ struct Snapshot {
 inline constexpr const char* kMetricsSchema = "dsem-metrics-v1";
 
 /// The process-wide registry. Never destroyed (worker threads may record
-/// until process exit); DSEM_METRICS registers an atexit writer.
+/// until process exit, when obs/switchboard may still write it).
 class Registry {
 public:
   static Registry& global();
@@ -240,9 +226,5 @@ public:
 private:
   Registry() = default;
 };
-
-/// Writes the global registry's snapshot as pretty-printed JSON to `path`
-/// (throws on I/O error).
-void write_json_file(const std::string& path);
 
 } // namespace dsem::metrics

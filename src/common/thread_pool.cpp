@@ -67,9 +67,9 @@ bool ThreadPool::try_run_one() {
   // a scheduling accident).
   trace::ScopeReset scope_reset;
   trace::Span span("pool.steal", trace::cat::kPool,
-                   trace::Reliability::kTimingDependent);
+                   Reliability::kTimingDependent);
   // Which thread steals how many tasks is a scheduling accident.
-  metrics::counter("pool.steals", 1, metrics::Reliability::kWallClock);
+  metrics::counter("pool.steals", 1, Reliability::kTimingDependent);
   task();
   return true;
 }
@@ -86,7 +86,7 @@ void ThreadPool::worker_loop() {
         }
       } else {
         trace::Span idle("pool.idle", trace::cat::kPool,
-                         trace::Reliability::kTimingDependent);
+                         Reliability::kTimingDependent);
         cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
         if (tasks_.empty()) {
           return; // stopping_ and drained
@@ -97,10 +97,10 @@ void ThreadPool::worker_loop() {
     }
     trace::ScopeReset scope_reset;
     trace::Span span("pool.task", trace::cat::kPool,
-                     trace::Reliability::kTimingDependent);
+                     Reliability::kTimingDependent);
     // Steals run some submissions inline, so the worker tally varies with
     // scheduling even though the submission count does not.
-    metrics::counter("pool.tasks", 1, metrics::Reliability::kWallClock);
+    metrics::counter("pool.tasks", 1, Reliability::kTimingDependent);
     task();
   }
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <map>
@@ -12,16 +11,11 @@
 #include <tuple>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 
 namespace dsem::trace {
-
-namespace detail {
-
-std::atomic<bool> g_enabled{false};
-
-} // namespace detail
 
 namespace {
 
@@ -110,7 +104,7 @@ struct LogicalKey {
 LogicalKey next_key(Reliability r) noexcept {
   TlState& tl = tl_state;
   LogicalKey key;
-  if (r != Reliability::kStable) {
+  if (r != Reliability::kDeterministic) {
     key.path = tl.scope_active ? tl.scope_path : 0;
     return key;
   }
@@ -132,78 +126,33 @@ void push_event(Event&& event) {
   buf.events.push_back(std::move(event));
 }
 
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-    case '"':
-      os << "\\\"";
-      break;
-    case '\\':
-      os << "\\\\";
-      break;
-    case '\n':
-      os << "\\n";
-      break;
-    case '\t':
-      os << "\\t";
-      break;
-    case '\r':
-      os << "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(c) < 0x20) {
-        const char* hex = "0123456789abcdef";
-        os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-      } else {
-        os << c;
-      }
-    }
-  }
-}
-
-/// DSEM_TRACE=path: enable at load time, write the Chrome JSON at exit.
-std::string& env_trace_path() {
-  static std::string* path = new std::string;
-  return *path;
-}
-
-void write_env_trace() {
-  const std::string& path = env_trace_path();
-  if (!path.empty()) {
-    write_chrome_file(path);
-  }
-}
-
-bool init_from_env() {
-  const char* env = std::getenv("DSEM_TRACE");
-  if (env == nullptr || *env == '\0') {
-    return false;
-  }
-  env_trace_path() = env;
-  set_enabled(true);
-  std::atexit(write_env_trace);
-  return true;
-}
-
-[[maybe_unused]] const bool g_env_initialized = init_from_env();
-
 } // namespace
 
 namespace detail {
+
+namespace {
+
+/// Stamps a non-span event with the clock and its logical key, then
+/// appends it to the calling thread's buffer.
+void record(Event e, Reliability r) {
+  e.start_ns = now_ns();
+  const LogicalKey key = next_key(r);
+  e.logical_path = key.path;
+  e.logical_seq = key.seq;
+  e.stable = key.stable;
+  push_event(std::move(e));
+}
+
+} // namespace
 
 void record_counter(const char* name, double delta, Reliability r) {
   Event e;
   e.kind = EventKind::kCounter;
   e.name = name;
   e.category = cat::kPhase;
-  e.start_ns = now_ns();
   e.value = delta;
   e.has_value = true;
-  const LogicalKey key = next_key(r);
-  e.logical_path = key.path;
-  e.logical_seq = key.seq;
-  e.stable = key.stable;
-  push_event(std::move(e));
+  record(std::move(e), r);
 }
 
 void record_gauge(const char* name, double value, Reliability r,
@@ -212,15 +161,10 @@ void record_gauge(const char* name, double value, Reliability r,
   e.kind = EventKind::kGauge;
   e.name = name;
   e.category = cat::kPhase;
-  e.start_ns = now_ns();
   e.value = value;
   e.has_value = true;
   e.arg = arg;
-  const LogicalKey key = next_key(r);
-  e.logical_path = key.path;
-  e.logical_seq = key.seq;
-  e.stable = key.stable;
-  push_event(std::move(e));
+  record(std::move(e), r);
 }
 
 void record_instant(const char* name, const char* category, Reliability r,
@@ -229,20 +173,11 @@ void record_instant(const char* name, const char* category, Reliability r,
   e.kind = EventKind::kInstant;
   e.name = name;
   e.category = category;
-  e.start_ns = now_ns();
   e.arg = arg;
-  const LogicalKey key = next_key(r);
-  e.logical_path = key.path;
-  e.logical_seq = key.seq;
-  e.stable = key.stable;
-  push_event(std::move(e));
+  record(std::move(e), r);
 }
 
 } // namespace detail
-
-void set_enabled(bool on) noexcept {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
 
 void Span::begin(const char* name, const char* category,
                  std::uint64_t logical_index, bool root,
@@ -400,9 +335,9 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     }
     first = false;
     os << "{\"name\":\"";
-    json_escape(os, e.name);
+    json::escape(os, e.name);
     os << "\",\"cat\":\"";
-    json_escape(os, e.category);
+    json::escape(os, e.category);
     os << "\",\"ph\":\"" << ph << "\",\"pid\":1,\"tid\":" << e.tid
        << ",\"ts\":" << static_cast<double>(e.start_ns) / 1000.0;
   };
@@ -416,7 +351,7 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     }
     if (!e.arg.empty()) {
       os << (first_arg ? "" : ",") << "\"arg\":\"";
-      json_escape(os, e.arg);
+      json::escape(os, e.arg);
       os << "\"";
       first_arg = false;
     }

@@ -19,26 +19,27 @@
 //    sequence numbers; task bodies are serial, so the key is a pure
 //    function of the grid, not of DSEM_THREADS.
 //
-// Events are classified Stable or TimingDependent. Stable events (grid
-// point spans, retry/backoff counters, training spans, ...) have
-// deterministic content and keys: the golden-trace tests compare them
-// bit-for-bit across pool sizes. TimingDependent events (pool
+// Events are tagged Reliability::kDeterministic or kTimingDependent
+// (common/observe.hpp). Deterministic ("stable") events (grid point
+// spans, retry/backoff counters, training spans, ...) have deterministic
+// content and keys: the golden-trace tests compare them bit-for-bit
+// across pool sizes. Timing-dependent events (pool
 // task/steal/idle, ProfileCache hit/miss, phase wall times) are excluded
 // from the logical view — mirroring the SweepReport determinism contract.
 // A stable-site event recorded inside a pool-executed task but outside
 // any logical scope is downgraded automatically (ThreadPool wraps task
 // execution in a ScopeReset), so the invariant is structural.
 //
-// Enabling: set the DSEM_TRACE environment variable to a path (the Chrome
-// JSON is written there at process exit), pass --trace-out to the
-// sweep-driving binaries, or call trace::set_enabled(true) directly.
+// Enabling: DSEM_TRACE or --trace-out (obs/switchboard.hpp), or
+// set_sink_enabled(Sink::kTrace, true) directly.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "common/observe.hpp"
 
 namespace dsem::trace {
 
@@ -53,11 +54,6 @@ inline constexpr const char* kTrain = "train";
 inline constexpr const char* kEval = "eval";
 inline constexpr const char* kPhase = "phase";
 } // namespace cat
-
-enum class Reliability : std::uint8_t {
-  kStable,          ///< deterministic content; part of the logical view
-  kTimingDependent, ///< scheduling/wall-clock dependent; report-only
-};
 
 enum class EventKind : std::uint8_t { kSpan, kCounter, kGauge, kInstant };
 
@@ -94,8 +90,6 @@ struct LogicalEvent {
 
 namespace detail {
 
-extern std::atomic<bool> g_enabled;
-
 void record_counter(const char* name, double delta, Reliability r);
 void record_gauge(const char* name, double value, Reliability r,
                   const std::string& arg);
@@ -106,12 +100,7 @@ void record_instant(const char* name, const char* category, Reliability r,
 
 /// True when the global tracer is recording. The only cost instrumentation
 /// pays when tracing is off: one relaxed atomic load and a branch.
-inline bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-
-/// Turns global recording on or off (DSEM_TRACE and --trace-out call this).
-void set_enabled(bool on) noexcept;
+inline bool enabled() noexcept { return sink_enabled(Sink::kTrace); }
 
 /// RAII span. Construct cheaply on every code path; records one kSpan
 /// event at destruction when tracing was enabled at construction.
@@ -120,7 +109,7 @@ public:
   /// Plain span: nests in the calling thread's current logical scope.
   Span(const char* name, const char* category) noexcept {
     if (enabled()) {
-      begin(name, category, 0, /*root=*/false, Reliability::kStable);
+      begin(name, category, 0, /*root=*/false, Reliability::kDeterministic);
     }
   }
 
@@ -139,7 +128,7 @@ public:
        std::uint64_t logical_index) noexcept {
     if (enabled()) {
       begin(name, category, logical_index, /*root=*/true,
-            Reliability::kStable);
+            Reliability::kDeterministic);
     }
   }
 
@@ -192,7 +181,7 @@ private:
 /// Monotonic named counter: `delta` accumulates across the run (the Chrome
 /// export emits the running total at each sample).
 inline void counter(const char* name, double delta,
-                    Reliability r = Reliability::kStable) {
+                    Reliability r = Reliability::kDeterministic) {
   if (enabled()) {
     detail::record_counter(name, delta, r);
   }
@@ -200,7 +189,7 @@ inline void counter(const char* name, double delta,
 
 /// Point-in-time named value (row counts, phase seconds, hit rates).
 inline void gauge(const char* name, double value,
-                  Reliability r = Reliability::kStable,
+                  Reliability r = Reliability::kDeterministic,
                   const std::string& arg = {}) {
   if (enabled()) {
     detail::record_gauge(name, value, r, arg);
@@ -209,7 +198,7 @@ inline void gauge(const char* name, double value,
 
 /// Zero-duration marker (a fault observed, a retry scheduled).
 inline void instant(const char* name, const char* category,
-                    Reliability r = Reliability::kStable,
+                    Reliability r = Reliability::kDeterministic,
                     const std::string& arg = {}) {
   if (enabled()) {
     detail::record_instant(name, category, r, arg);
@@ -235,7 +224,7 @@ private:
 };
 
 /// The process-wide event recorder. Never destroyed (worker threads may
-/// record until process exit); DSEM_TRACE registers an atexit writer.
+/// record until process exit, when obs/switchboard may still write it).
 class Tracer {
 public:
   static Tracer& global();

@@ -1,8 +1,5 @@
 #include "core/dataset.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/error.hpp"
 
 namespace dsem::core {
@@ -224,20 +221,11 @@ Dataset dataset_from_json(const json::Value& value) {
 }
 
 void save_dataset(const Dataset& dataset, const std::string& path) {
-  std::ofstream out(path);
-  DSEM_ENSURE(out.good(), "cannot open dataset for writing: " + path);
-  dataset_to_json(dataset).write(out, 2);
-  out << "\n";
-  DSEM_ENSURE(out.good(), "failed writing dataset: " + path);
+  json::write_file(path, dataset_to_json(dataset));
 }
 
 Dataset load_dataset(const std::string& path) {
-  std::ifstream in(path);
-  DSEM_ENSURE(in.good(), "cannot open dataset: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  DSEM_ENSURE(!in.bad(), "failed reading dataset: " + path);
-  return dataset_from_json(json::Value::parse(buffer.str()));
+  return dataset_from_json(json::read_file(path));
 }
 
 } // namespace dsem::core

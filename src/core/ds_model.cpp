@@ -75,10 +75,12 @@ json::Value DomainSpecificModel::to_json() const {
   return out;
 }
 
-DomainSpecificModel DomainSpecificModel::from_json(const json::Value& value) {
+DomainSpecificModel DomainSpecificModel::from_json(const json::Value& value,
+                                                   std::size_t input_width) {
   DomainSpecificModel model;
-  model.time_model_ = ml::regressor_from_json(value.at("time"));
-  model.energy_model_ = ml::regressor_from_json(value.at("energy"));
+  model.time_model_ = ml::regressor_from_json(value.at("time"), input_width);
+  model.energy_model_ =
+      ml::regressor_from_json(value.at("energy"), input_width);
   model.log_targets_ = value.at("log_targets").as_bool();
   model.trained_ = true;
   return model;

@@ -61,7 +61,10 @@ public:
   /// Round-trips bit-identically: from_json(to_json()) predicts the same
   /// values bit for bit. Throws for untrained models.
   json::Value to_json() const;
-  static DomainSpecificModel from_json(const json::Value& value);
+  /// `input_width` is the regressors' query width (domain features + the
+  /// frequency column); every tree split is checked against it.
+  static DomainSpecificModel from_json(const json::Value& value,
+                                       std::size_t input_width);
 
 private:
   std::unique_ptr<ml::Regressor> time_model_;

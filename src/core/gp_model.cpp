@@ -130,8 +130,10 @@ json::Value GeneralPurposeModel::to_json() const {
 
 GeneralPurposeModel GeneralPurposeModel::from_json(const json::Value& value) {
   GeneralPurposeModel model;
-  model.speedup_model_ = ml::regressor_from_json(value.at("speedup"));
-  model.energy_model_ = ml::regressor_from_json(value.at("energy"));
+  // Query rows are the static feature vector plus the frequency column.
+  constexpr std::size_t kWidth = sim::kNumStaticFeatures + 1;
+  model.speedup_model_ = ml::regressor_from_json(value.at("speedup"), kWidth);
+  model.energy_model_ = ml::regressor_from_json(value.at("energy"), kWidth);
   model.training_rows_ =
       static_cast<std::size_t>(value.at("training_rows").as_number());
   model.trained_ = true;

@@ -158,13 +158,15 @@ json::Value HybridModel::to_json() const {
 
 HybridModel HybridModel::from_json(const json::Value& value) {
   HybridModel model;
-  model.time_model_ = ml::regressor_from_json(value.at("time"));
-  model.energy_model_ = ml::regressor_from_json(value.at("energy"));
-  model.log_targets_ = value.at("log_targets").as_bool();
   const double width = value.at("input_width").as_number();
   DSEM_ENSURE(width >= 2.0 && width == std::floor(width),
               "hybrid payload: bad input_width");
   model.input_width_ = static_cast<std::size_t>(width);
+  model.time_model_ =
+      ml::regressor_from_json(value.at("time"), model.input_width_);
+  model.energy_model_ =
+      ml::regressor_from_json(value.at("energy"), model.input_width_);
+  model.log_targets_ = value.at("log_targets").as_bool();
   model.trained_ = true;
   return model;
 }

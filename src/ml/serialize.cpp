@@ -49,7 +49,8 @@ json::Value tree_to_json(const DecisionTreeRegressor& tree) {
 }
 
 DecisionTreeRegressor tree_from_json(TreeParams params,
-                                     const json::Value& value) {
+                                     const json::Value& value,
+                                     std::size_t input_width) {
   const json::Value::Array& rows = value.at("nodes").as_array();
   std::vector<TreeNode> nodes;
   nodes.reserve(rows.size());
@@ -63,7 +64,9 @@ DecisionTreeRegressor tree_from_json(TreeParams params,
     node.left = int32_field(cells[2]);
     node.right = int32_field(cells[3]);
     node.value = cells[4].as_number();
-    DSEM_ENSURE(node.feature >= -1, "model artifact: bad feature index");
+    DSEM_ENSURE(node.feature >= -1 &&
+                    node.feature < static_cast<std::int64_t>(input_width),
+                "model artifact: feature index outside the input width");
     nodes.push_back(node);
   }
   return DecisionTreeRegressor::from_nodes(params, std::move(nodes));
@@ -114,7 +117,8 @@ json::Value forest_to_json(const RandomForestRegressor& forest) {
   return out;
 }
 
-std::unique_ptr<Regressor> forest_from_json(const json::Value& value) {
+std::unique_ptr<Regressor> forest_from_json(const json::Value& value,
+                                            std::size_t input_width) {
   const json::Value& params_json = value.at("params");
   ForestParams params;
   params.n_estimators = int32_field(params_json.at("n_estimators"));
@@ -138,7 +142,7 @@ std::unique_ptr<Regressor> forest_from_json(const json::Value& value) {
   std::vector<DecisionTreeRegressor> trees;
   trees.reserve(trees_json.size());
   for (const json::Value& tree : trees_json) {
-    trees.push_back(tree_from_json(tp, tree));
+    trees.push_back(tree_from_json(tp, tree, input_width));
   }
   return std::make_unique<RandomForestRegressor>(
       RandomForestRegressor::from_trees(params, std::move(trees)));
@@ -165,14 +169,16 @@ json::Value regressor_to_json(const Regressor& regressor) {
                        regressor.name());
 }
 
-std::unique_ptr<Regressor> regressor_from_json(const json::Value& value) {
+std::unique_ptr<Regressor> regressor_from_json(const json::Value& value,
+                                               std::size_t input_width) {
   const std::string& type = value.at("type").as_string();
   if (type == "RandomForest") {
-    return forest_from_json(value);
+    return forest_from_json(value, input_width);
   }
   if (type == "DecisionTree") {
-    return std::make_unique<DecisionTreeRegressor>(tree_from_json(
-        tree_params_from_json(value.at("params")), value.at("tree")));
+    return std::make_unique<DecisionTreeRegressor>(
+        tree_from_json(tree_params_from_json(value.at("params")),
+                       value.at("tree"), input_width));
   }
   throw contract_error("unknown serialized regressor type: " + type);
 }

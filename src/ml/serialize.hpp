@@ -23,8 +23,10 @@ namespace dsem::ml {
 json::Value regressor_to_json(const Regressor& regressor);
 
 /// Rebuilds a regressor from regressor_to_json output. Validates the tree
-/// structure (child indices in range, leaf/interior consistency) before
+/// structure (child indices in range, leaf/interior consistency) and that
+/// every split reads a column of an `input_width`-wide query row before
 /// accepting it.
-std::unique_ptr<Regressor> regressor_from_json(const json::Value& value);
+std::unique_ptr<Regressor> regressor_from_json(const json::Value& value,
+                                               std::size_t input_width);
 
 } // namespace dsem::ml

@@ -543,11 +543,27 @@ std::int32_t DecisionTreeRegressor::build(Workspace& ws, std::size_t begin,
       ws.stream_value(buf, static_cast<std::size_t>(best_feature));
   const std::uint32_t* chosen_index =
       ws.stream_index(buf, static_cast<std::size_t>(best_feature));
-  std::size_t nl = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    const bool left = chosen_value[i] <= best_threshold;
-    ws.go_left[chosen_index[i]] = left ? 1 : 0;
-    nl += left ? 1 : 0;
+  const auto mark_sides = [&] {
+    std::size_t left_count = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const bool left = chosen_value[i] <= best_threshold;
+      ws.go_left[chosen_index[i]] = left ? 1 : 0;
+      left_count += left ? 1 : 0;
+    }
+    return left_count;
+  };
+  std::size_t nl = mark_sides();
+  if (nl == n) {
+    // The midpoint of two adjacent doubles can round up onto the upper
+    // one; when that is the node's largest value every entry lands left.
+    // Split at the lower value instead: the same partition the scan
+    // scored. Thresholds that already split the node are never touched.
+    std::size_t below = end - 1;
+    while (chosen_value[below] == chosen_value[end - 1]) {
+      --below;
+    }
+    best_threshold = chosen_value[below];
+    nl = mark_sides();
   }
   DSEM_ASSERT(nl > 0 && nl < n, "degenerate partition");
   const std::size_t mid = begin + nl;

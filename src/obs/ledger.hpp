@@ -21,23 +21,23 @@
 //    alone: id = "<req|job>-" + 16 hex digits of
 //    derive_seed(fnv1a64(kind), index). The same trace position gets the
 //    same id under every policy, pool size, and run.
-//  - The disabled path is one relaxed-atomic load and branch per call
-//    site, like trace and metrics (overhead regression test < 1 µs/op).
+//  - The disabled path is one relaxed-atomic load and branch per run:
+//    the loops resolve their sink once (Ledger::sink; overhead regression
+//    test < 1 µs/op).
 //
-// Enabling: set the DSEM_LEDGER environment variable to a path (the JSON
-// ledger is written there at process exit), pass --ledger-out to the CLI
-// binaries, or hand the loops an explicit sink (ServeConfig::ledger /
-// SchedConfig::ledger) — an explicit sink records regardless of the
+// Enabling: DSEM_LEDGER or --ledger-out (obs/switchboard.hpp) switch the
+// global ledger on, or hand the loops an explicit sink (ServeConfig::ledger
+// / SchedConfig::ledger) — an explicit sink records regardless of the
 // global switch, which is what the tests use.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/observe.hpp"
 #include "obs/drift.hpp"
 #include "obs/slo.hpp"
 
@@ -169,12 +169,18 @@ public:
   /// byte-identity to every record.
   json::Value to_json(bool summary_only = false) const;
 
-  /// Pretty-printed to_json(false) with a trailing newline.
-  void write_file(const std::string& path) const;
-
   /// The process-wide ledger the --ledger-out / DSEM_LEDGER plumbing
   /// records into. Never destroyed.
   static Ledger& global();
+
+  /// A loop's sink for one run: `explicit_sink` when set, otherwise the
+  /// global ledger when the ledger switch is on, otherwise nullptr.
+  static Ledger* sink(Ledger* explicit_sink) {
+    if (explicit_sink != nullptr) {
+      return explicit_sink;
+    }
+    return sink_enabled(Sink::kLedger) ? &global() : nullptr;
+  }
 
 private:
   mutable std::mutex mutex_;
@@ -182,37 +188,5 @@ private:
   std::vector<RequestRecord> requests_;
   std::vector<JobRecord> jobs_;
 };
-
-namespace detail {
-
-extern std::atomic<bool> g_enabled;
-
-} // namespace detail
-
-/// True when the global ledger is recording. The only cost the loops pay
-/// when the ledger is off: one relaxed atomic load and a branch.
-inline bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-
-/// Turns global recording on or off (DSEM_LEDGER and --ledger-out call
-/// this).
-void set_enabled(bool on) noexcept;
-
-/// Record into the global ledger when enabled (the loops' call sites).
-inline void record(RequestRecord record) {
-  if (enabled()) {
-    Ledger::global().add(std::move(record));
-  }
-}
-inline void record(JobRecord record) {
-  if (enabled()) {
-    Ledger::global().add(std::move(record));
-  }
-}
-
-/// Writes the global ledger as pretty-printed JSON to `path` (throws on
-/// I/O error).
-void write_json_file(const std::string& path);
 
 } // namespace dsem::obs

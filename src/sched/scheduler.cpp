@@ -98,10 +98,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
   stats_.jobs = jobs.size();
 
   // Attribution-ledger sink, resolved once per run (see ServeLoop::run).
-  obs::Ledger* const ledger =
-      config_.ledger != nullptr
-          ? config_.ledger
-          : (obs::enabled() ? &obs::Ledger::global() : nullptr);
+  obs::Ledger* const ledger = obs::Ledger::sink(config_.ledger);
 
   ThreadPool& pool = config_.pool ? *config_.pool : ThreadPool::global();
   const sim::DeviceSpec& spec = cluster_.device(0).spec();
@@ -383,13 +380,13 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
   metrics::counter("sched.infeasible", stats_.infeasible);
   metrics::counter("sched.clock_rejections", stats_.clock_rejections);
   metrics::gauge("sched.energy_j", stats_.energy_j,
-                 metrics::Reliability::kDeterministic);
+                 Reliability::kDeterministic);
   metrics::gauge("sched.busy_energy_j", stats_.busy_energy_j,
-                 metrics::Reliability::kDeterministic);
+                 Reliability::kDeterministic);
   metrics::gauge("sched.idle_energy_j", stats_.idle_energy_j,
-                 metrics::Reliability::kDeterministic);
+                 Reliability::kDeterministic);
   metrics::gauge("sched.makespan_s", stats_.makespan_s,
-                 metrics::Reliability::kDeterministic);
+                 Reliability::kDeterministic);
 
   stats_.wall_s = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - wall_start)

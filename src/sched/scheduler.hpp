@@ -82,7 +82,7 @@ struct SchedConfig {
   /// Base seed of the per-job execution noise streams (derived by index).
   std::uint64_t seed = 0x5C4EDULL;
   /// Explicit attribution-ledger sink: when set, every job is recorded
-  /// here regardless of obs::enabled(). When null, records go to
+  /// here regardless of the ledger switch. When null, records go to
   /// obs::Ledger::global() iff the global switch is on (--ledger-out /
   /// DSEM_LEDGER). See obs/ledger.hpp.
   obs::Ledger* ledger = nullptr;

@@ -1,8 +1,5 @@
 #include "serve/artifact.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/error.hpp"
 
 namespace dsem::serve {
@@ -70,7 +67,8 @@ ModelArtifact ModelArtifact::from_json(const json::Value& value) {
   const std::string& kind = value.at("kind").as_string();
   if (kind == "domain-specific") {
     artifact.ds = std::make_shared<core::DomainSpecificModel>(
-        core::DomainSpecificModel::from_json(value.at("model")));
+        core::DomainSpecificModel::from_json(
+            value.at("model"), artifact.feature_names.size() + 1));
   } else if (kind == "general-purpose") {
     artifact.gp = std::make_shared<core::GeneralPurposeModel>(
         core::GeneralPurposeModel::from_json(value.at("model")));
@@ -84,21 +82,12 @@ ModelArtifact ModelArtifact::from_json(const json::Value& value) {
 }
 
 void ModelArtifact::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  DSEM_ENSURE(out.good(), "cannot open model artifact for writing: " + path);
-  to_json().write(out, 2);
-  out << "\n";
-  DSEM_ENSURE(out.good(), "failed writing model artifact: " + path);
+  json::write_file(path, to_json());
 }
 
 ModelArtifact ModelArtifact::load_file(const std::string& path) {
-  std::ifstream in(path);
-  DSEM_ENSURE(in.good(), "cannot open model artifact: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  DSEM_ENSURE(!in.bad(), "failed reading model artifact: " + path);
   // Origin is kept exactly as stored so save → load → save is byte-equal.
-  return from_json(json::Value::parse(buffer.str()));
+  return from_json(json::read_file(path));
 }
 
 } // namespace dsem::serve

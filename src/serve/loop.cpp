@@ -50,12 +50,9 @@ ServeLoop::run(std::span<const TimedRequest> trace) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   // Attribution-ledger sink, resolved once per run: the explicit config
-  // sink wins; otherwise the global ledger when obs is enabled. The
+  // sink wins; otherwise the global ledger when its switch is on. The
   // per-request cost when off is this null check.
-  obs::Ledger* const ledger =
-      config_.ledger != nullptr
-          ? config_.ledger
-          : (obs::enabled() ? &obs::Ledger::global() : nullptr);
+  obs::Ledger* const ledger = obs::Ledger::sink(config_.ledger);
 
   stats_ = ServeStats{};
   stats_.requests = trace.size();
@@ -251,9 +248,9 @@ ServeLoop::run(std::span<const TimedRequest> trace) {
   metrics::counter("serve.batches", stats_.batches);
   // Driver-thread gauges: deterministic because run() is serial here.
   metrics::gauge("serve.predicted_energy_j", stats_.predicted_energy_j,
-                 metrics::Reliability::kDeterministic);
+                 Reliability::kDeterministic);
   metrics::gauge("serve.sim_duration_s", stats_.sim_duration_s,
-                 metrics::Reliability::kDeterministic);
+                 Reliability::kDeterministic);
   metrics::gauge("serve.wall_s", stats_.wall_s);
   return responses;
 }

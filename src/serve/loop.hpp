@@ -64,7 +64,7 @@ struct ServeConfig {
   /// Pool for batched inference; nullptr = ThreadPool::global().
   ThreadPool* pool = nullptr;
   /// Explicit attribution-ledger sink: when set, every request is
-  /// recorded here regardless of obs::enabled(). When null, records go
+  /// recorded here regardless of the ledger switch. When null, records go
   /// to obs::Ledger::global() iff the global switch is on (--ledger-out /
   /// DSEM_LEDGER). See obs/ledger.hpp.
   obs::Ledger* ledger = nullptr;

@@ -59,15 +59,13 @@ ProfileCache::Cost ProfileCache::lookup(const DeviceSpec& spec,
       // Which concurrent first lookup wins is a scheduling accident, so
       // the hit/miss split is timing-dependent (report-only), matching
       // the SweepReport determinism contract.
-      trace::counter("cache.hits", 1.0,
-                     trace::Reliability::kTimingDependent);
-      metrics::counter("cache.hits", 1, metrics::Reliability::kWallClock);
+      trace::counter("cache.hits", 1.0, Reliability::kTimingDependent);
+      metrics::counter("cache.hits", 1, Reliability::kTimingDependent);
       return it->second;
     }
     ++misses_;
-    trace::counter("cache.misses", 1.0,
-                   trace::Reliability::kTimingDependent);
-    metrics::counter("cache.misses", 1, metrics::Reliability::kWallClock);
+    trace::counter("cache.misses", 1.0, Reliability::kTimingDependent);
+    metrics::counter("cache.misses", 1, Reliability::kTimingDependent);
   }
   // Compute outside the lock; a concurrent miss for the same key derives
   // the identical value, so whichever insert wins is correct.

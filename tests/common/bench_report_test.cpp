@@ -226,9 +226,10 @@ TEST(BenchCompare, MatchPrefixSelectsStrictZone) {
 // --- file fixtures (the same ones the ctest exit-code tests use) -----------
 
 TEST(BenchReportFiles, CommittedFixturesValidateAndCompare) {
-  const json::Value baseline = load_file(data_path("bench_baseline_sample.json"));
+  const json::Value baseline =
+      json::read_file(data_path("bench_baseline_sample.json"));
   const json::Value regressed =
-      load_file(data_path("bench_regressed_sample.json"));
+      json::read_file(data_path("bench_regressed_sample.json"));
   validate(baseline);
   validate(regressed);
 
@@ -244,9 +245,10 @@ TEST(BenchReportFiles, CommittedFixturesValidateAndCompare) {
 }
 
 TEST(BenchReportFiles, MlRegressionFixtureHitsTheStrictZone) {
-  const json::Value baseline = load_file(data_path("bench_baseline_sample.json"));
+  const json::Value baseline =
+      json::read_file(data_path("bench_baseline_sample.json"));
   const json::Value regressed =
-      load_file(data_path("bench_regressed_ml_sample.json"));
+      json::read_file(data_path("bench_regressed_ml_sample.json"));
   validate(regressed);
 
   const CompareResult result = compare(baseline, regressed);
@@ -257,13 +259,15 @@ TEST(BenchReportFiles, MlRegressionFixtureHitsTheStrictZone) {
   // The sim-only regression fixture must NOT trip the strict zone — that
   // pair is the "warns elsewhere" ctest fixture.
   const CompareResult sim_only =
-      compare(baseline, load_file(data_path("bench_regressed_sample.json")));
+      compare(baseline,
+              json::read_file(data_path("bench_regressed_sample.json")));
   EXPECT_FALSE(sim_only.ok());
   EXPECT_TRUE(match_prefix(sim_only.regressions, "perf_ml/").empty());
 }
 
 TEST(BenchReportFiles, LoadFileThrowsOnMissingPath) {
-  EXPECT_THROW(load_file(data_path("does_not_exist.json")), contract_error);
+  EXPECT_THROW(json::read_file(data_path("does_not_exist.json")),
+               contract_error);
 }
 
 } // namespace

@@ -32,11 +32,11 @@ namespace {
 class MetricsTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    set_enabled(false);
+    set_sink_enabled(Sink::kMetrics, false);
     Registry::global().clear();
   }
   void TearDown() override {
-    set_enabled(false);
+    set_sink_enabled(Sink::kMetrics, false);
     Registry::global().clear();
   }
 };
@@ -51,7 +51,7 @@ TEST_F(MetricsTest, DisabledByDefaultAndRecordsNothing) {
 }
 
 TEST_F(MetricsTest, RecordsAllInstrumentKindsWhenEnabled) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   counter("on.counter", 2);
   counter("on.counter", 3);
   gauge("on.gauge", 1.5);
@@ -79,14 +79,14 @@ TEST_F(MetricsTest, RecordsAllInstrumentKindsWhenEnabled) {
 }
 
 TEST_F(MetricsTest, ClearResetsEveryShard) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   counter("reset.counter");
   Registry::global().clear();
   EXPECT_TRUE(Registry::global().snapshot().empty());
 }
 
 TEST_F(MetricsTest, SnapshotIsNameSorted) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   counter("z.last");
   counter("a.first");
   counter("m.middle");
@@ -98,7 +98,7 @@ TEST_F(MetricsTest, SnapshotIsNameSorted) {
 }
 
 TEST_F(MetricsTest, InstrumentKindMismatchThrows) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   counter("kind.clash");
   EXPECT_THROW(histogram("kind.clash", 1.0), contract_error);
 }
@@ -121,7 +121,7 @@ TEST_F(MetricsTest, BucketGeometryBoundsEveryValue) {
 }
 
 TEST_F(MetricsTest, SingleSampleHistogramIsExactAtAllQuantiles) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   histogram("single.sample", 0.125);
   const Snapshot snap = Registry::global().snapshot();
   ASSERT_EQ(snap.histograms.size(), 1u);
@@ -134,7 +134,7 @@ TEST_F(MetricsTest, SingleSampleHistogramIsExactAtAllQuantiles) {
 }
 
 TEST_F(MetricsTest, HistogramQuantilesMatchStatsQuantileWithinBucketError) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   std::vector<double> samples;
   double x = 1e-4;
   for (int i = 0; i < 500; ++i) {
@@ -162,7 +162,7 @@ TEST_F(MetricsTest, HistogramQuantilesMatchStatsQuantileWithinBucketError) {
 }
 
 TEST_F(MetricsTest, ShardsMergeAcrossThreads) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   constexpr std::size_t kThreads = 4;
   constexpr std::uint64_t kPerThread = 1000;
   std::vector<std::thread> threads;
@@ -187,9 +187,9 @@ TEST_F(MetricsTest, ShardsMergeAcrossThreads) {
 }
 
 TEST_F(MetricsTest, JsonViewsFilterWallClockContent) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   counter("det.counter", 3);
-  counter("wall.counter", 1, Reliability::kWallClock);
+  counter("wall.counter", 1, Reliability::kTimingDependent);
   gauge("wall.gauge", 2.0);
   histogram("det.histogram", 0.5);
 
@@ -204,7 +204,7 @@ TEST_F(MetricsTest, JsonViewsFilterWallClockContent) {
   EXPECT_NE(full_hist.find("sum"), nullptr);
   EXPECT_NE(full_hist.find("mean"), nullptr);
 
-  // ...the deterministic view drops them along with kWallClock rows.
+  // ...the deterministic view drops them along with kTimingDependent rows.
   const json::Value det = snap.to_json(/*deterministic_only=*/true);
   EXPECT_EQ(det.at("view").as_string(), "deterministic");
   ASSERT_EQ(det.at("counters").as_array().size(), 1u);
@@ -222,7 +222,7 @@ TEST_F(MetricsTest, JsonViewsFilterWallClockContent) {
 /// replica devices make everything a pure function of the grid.
 std::string metered_sweep(std::size_t threads) {
   Registry::global().clear();
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   {
     sim::Device sim_dev(sim::v100(), sim::NoiseConfig{0.015, 0.015}, 0x077);
     sim::FaultConfig faults;
@@ -249,7 +249,7 @@ std::string metered_sweep(std::size_t threads) {
   const std::string out =
       Registry::global().snapshot().to_json(/*deterministic_only=*/true).dump(
           2);
-  set_enabled(false);
+  set_sink_enabled(Sink::kMetrics, false);
   Registry::global().clear();
   return out;
 }
@@ -279,10 +279,10 @@ TEST_F(MetricsTest, GoldenSnapshotStableAcrossRepeatedRuns) {
 }
 
 TEST_F(MetricsTest, SnapshotTableListsEveryInstrument) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   histogram("render.hist_s", 0.25);
   counter("render.counter", 28);
-  counter("render.tasks", 1, Reliability::kWallClock);
+  counter("render.tasks", 1, Reliability::kTimingDependent);
   gauge("render.gauge", 3.0, Reliability::kDeterministic);
 
   std::ostringstream os;
@@ -329,7 +329,7 @@ TEST_F(MetricsTest, StandaloneObserveMatchesRegistryRecording) {
   // same quantiles (the obs:: drift monitor depends on this).
   const std::vector<double> samples = {1e-6, 3.4e-3, 3.5e-3, 0.12,
                                        7.0,  0.0,    -2.0};
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   for (const double s : samples) {
     histogram("merge.reference", s);
   }
@@ -358,7 +358,7 @@ TEST_F(MetricsTest, MergeAcrossRegistrySnapshotsEqualsOneCombinedRun) {
   const std::vector<double> first = {2e-6, 0.5, 0.03};
   const std::vector<double> second = {9.0, 1e-9, 0.031};
 
-  set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   for (const double s : first) {
     histogram("merge.split", s);
   }

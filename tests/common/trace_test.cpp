@@ -29,11 +29,11 @@ namespace {
 class TraceTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    set_enabled(false);
+    set_sink_enabled(Sink::kTrace, false);
     Tracer::global().clear();
   }
   void TearDown() override {
-    set_enabled(false);
+    set_sink_enabled(Sink::kTrace, false);
     Tracer::global().clear();
   }
 };
@@ -51,14 +51,14 @@ TEST_F(TraceTest, DisabledByDefaultAndRecordsNothing) {
 }
 
 TEST_F(TraceTest, RecordsAllEventKindsWhenEnabled) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kTrace, true);
   {
     Span span("on.span", cat::kSweep);
     span.arg("payload");
     span.value(42.0);
     counter("on.counter", 3.0);
     gauge("on.gauge", 7.5);
-    instant("on.instant", cat::kMeasure, Reliability::kStable, "mark");
+    instant("on.instant", cat::kMeasure, Reliability::kDeterministic, "mark");
   }
   const std::vector<Event> events = Tracer::global().events();
   ASSERT_EQ(events.size(), 4u);
@@ -95,7 +95,7 @@ TEST_F(TraceTest, RecordsAllEventKindsWhenEnabled) {
 }
 
 TEST_F(TraceTest, ClearResetsEventsAndSequence) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kTrace, true);
   counter("reset.probe", 1.0);
   const auto first = Tracer::global().logical_events();
   Tracer::global().clear();
@@ -105,7 +105,7 @@ TEST_F(TraceTest, ClearResetsEventsAndSequence) {
 }
 
 TEST_F(TraceTest, RootSpanScopesNestedEvents) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kTrace, true);
   {
     Span root("scope.root", cat::kSweep, /*logical_index=*/7);
     counter("scope.inner", 1.0);
@@ -133,7 +133,7 @@ TEST_F(TraceTest, RootSpanScopesNestedEvents) {
 }
 
 TEST_F(TraceTest, RootSpanPathDependsOnlyOnNameAndIndex) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kTrace, true);
   { Span a("path.probe", cat::kSweep, 3); }
   { Span b("path.probe", cat::kSweep, 3); }
   { Span c("path.probe", cat::kSweep, 4); }
@@ -149,7 +149,7 @@ TEST_F(TraceTest, RootSpanPathDependsOnlyOnNameAndIndex) {
 }
 
 TEST_F(TraceTest, TimingDependentEventsExcludedFromLogicalView) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kTrace, true);
   counter("td.counter", 1.0, Reliability::kTimingDependent);
   gauge("td.gauge", 1.0, Reliability::kTimingDependent);
   { Span span("td.span", cat::kPool, Reliability::kTimingDependent); }
@@ -158,7 +158,7 @@ TEST_F(TraceTest, TimingDependentEventsExcludedFromLogicalView) {
 }
 
 TEST_F(TraceTest, ScopelessStableEventsInPoolTasksAreDowngraded) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kTrace, true);
   ThreadPool pool(2);
   // A stable-site counter inside a pool task but outside any root scope:
   // its thread placement is a scheduling accident, so it must not reach
@@ -236,14 +236,14 @@ bool json_well_formed(const std::string& text) {
 }
 
 TEST_F(TraceTest, ChromeExportIsWellFormedJson) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kTrace, true);
   {
     Span span("json.span", cat::kSweep, 0);
     span.arg("quote \" backslash \\ newline \n tab \t");
     span.value(1.25);
     counter("json.counter", 2.0);
     counter("json.counter", 3.0);
-    gauge("json.gauge", 4.0, Reliability::kStable, "g");
+    gauge("json.gauge", 4.0, Reliability::kDeterministic, "g");
     instant("json.instant", cat::kMeasure);
   }
   std::ostringstream os;
@@ -269,7 +269,7 @@ TEST_F(TraceTest, EmptyTraceExportsValidJson) {
 }
 
 TEST_F(TraceTest, SummaryTableListsEveryInstrumentName) {
-  set_enabled(true);
+  set_sink_enabled(Sink::kTrace, true);
   { Span span("sum.span", cat::kSweep); }
   counter("sum.counter", 2.5);
   gauge("sum.gauge", 9.0);
@@ -300,7 +300,7 @@ std::vector<double> strided_freqs(const synergy::Device& device,
 /// the fault pattern a pure function of the grid.
 std::vector<LogicalEvent> traced_sweep(std::size_t threads) {
   Tracer::global().clear();
-  set_enabled(true);
+  set_sink_enabled(Sink::kTrace, true);
   {
     sim::Device sim_dev(sim::v100(), sim::NoiseConfig{0.015, 0.015}, 0x077);
     sim::FaultConfig faults;
@@ -320,7 +320,7 @@ std::vector<LogicalEvent> traced_sweep(std::size_t threads) {
     core::characterize(device, workload, options, strided_freqs(device, 16));
   }
   auto out = Tracer::global().logical_events();
-  set_enabled(false);
+  set_sink_enabled(Sink::kTrace, false);
   Tracer::global().clear();
   return out;
 }

@@ -3,7 +3,7 @@
 // the fit actually produced, and the deterministic JSON view of a metered
 // forest + SVR fit is bit-identical for pools of 1, 2 and 8 workers — the
 // counts are properties of the fitted models, not of scheduling. Timers
-// and the gauge are kWallClock and must stay out of that view.
+// and the gauge are kTimingDependent and must stay out of that view.
 #include <string>
 #include <vector>
 
@@ -21,11 +21,11 @@ namespace {
 class MlMetricsTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    metrics::set_enabled(false);
+    set_sink_enabled(Sink::kMetrics, false);
     metrics::Registry::global().clear();
   }
   void TearDown() override {
-    metrics::set_enabled(false);
+    set_sink_enabled(Sink::kMetrics, false);
     metrics::Registry::global().clear();
   }
 };
@@ -47,7 +47,7 @@ std::pair<Matrix, std::vector<double>> training_data(std::size_t n) {
 /// the deterministic metrics JSON they recorded.
 std::string metered_fit(std::size_t threads) {
   metrics::Registry::global().clear();
-  metrics::set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   {
     const auto [x, y] = training_data(400);
     ThreadPool pool(threads);
@@ -65,7 +65,7 @@ std::string metered_fit(std::size_t threads) {
                               .snapshot()
                               .to_json(/*deterministic_only=*/true)
                               .dump(2);
-  metrics::set_enabled(false);
+  set_sink_enabled(Sink::kMetrics, false);
   metrics::Registry::global().clear();
   return out;
 }
@@ -89,7 +89,7 @@ TEST_F(MlMetricsTest, GoldenDeterministicJsonIdenticalAcrossPoolSizes) {
 }
 
 TEST_F(MlMetricsTest, FitTimersAndGaugeAppearInFullView) {
-  metrics::set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   const auto [x, y] = training_data(200);
 
   ForestParams fp;
@@ -109,7 +109,7 @@ TEST_F(MlMetricsTest, FitTimersAndGaugeAppearInFullView) {
 }
 
 TEST_F(MlMetricsTest, TreeHistogramsCountEveryTree) {
-  metrics::set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   const auto [x, y] = training_data(200);
   ForestParams fp;
   fp.n_estimators = 7;

@@ -355,6 +355,28 @@ TEST(TreePresort, SvrIsIdenticalForPools1_2_8) {
   EXPECT_EQ(outputs[0], outputs[2]);
 }
 
+TEST(TreePresort, MidpointRoundingOntoNodeMaximumStillSplits) {
+  // Two adjacent doubles (a LiGen hybrid feature value and its successor)
+  // whose midpoint rounds up onto the upper one, the node's largest value.
+  // The best split separates them, so a midpoint threshold would send
+  // every row left.
+  const double a = 0.92153789329150537;
+  const double b = std::nextafter(a, 2.0);
+  ASSERT_EQ(0.5 * (a + b), b);
+  Matrix x(3, 1);
+  x(0, 0) = 0.1;
+  x(1, 0) = a;
+  x(2, 0) = b;
+  const std::vector<double> y = {0.0, 0.0, 10.0};
+
+  DecisionTreeRegressor tree;
+  tree.fit(x, y);
+  ASSERT_EQ(tree.node_count(), 3u);
+  EXPECT_EQ(tree.nodes()[0].threshold, a);
+  EXPECT_EQ(tree.predict_one(x.row(1)), 0.0);
+  EXPECT_EQ(tree.predict_one(x.row(2)), 10.0);
+}
+
 // --- Batch prediction -------------------------------------------------------
 
 TEST(PredictMany, MatchesPredictOneBitwise) {

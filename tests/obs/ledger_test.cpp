@@ -273,39 +273,39 @@ TEST(LedgerTest, SummaryDigestPinsEveryRecordByte) {
 }
 
 TEST(LedgerTest, GlobalRecordRespectsEnableSwitch) {
-  set_enabled(false);
+  // A loop without an explicit sink records into the global ledger iff
+  // the ledger switch is on when the run starts.
+  serve::ServeConfig config = ledger_config(nullptr);
+  const std::vector<serve::TimedRequest> trace = {
+      make_request(0.0), make_request(0.0), make_request(0.0)};
+  set_sink_enabled(Sink::kLedger, false);
   Ledger::global().clear();
-  record(RequestRecord{});
+  serve::ServeLoop(test_registry(), config).run(trace);
   EXPECT_TRUE(Ledger::global().requests().empty());
 
-  set_enabled(true);
-  RequestRecord on;
-  on.index = 7;
-  record(on);
-  set_enabled(false);
-  ASSERT_EQ(Ledger::global().requests().size(), 1u);
-  EXPECT_EQ(Ledger::global().requests().front().index, 7u);
+  set_sink_enabled(Sink::kLedger, true);
+  serve::ServeLoop(test_registry(), config).run(trace);
+  set_sink_enabled(Sink::kLedger, false);
+  ASSERT_EQ(Ledger::global().requests().size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(Ledger::global().requests()[i].index, i);
+  }
+  EXPECT_TRUE(Ledger::global().jobs().empty());
   Ledger::global().clear();
-  EXPECT_TRUE(Ledger::global().requests().empty());
 }
 
 TEST(LedgerTest, DisabledLedgerOverheadStaysNegligible) {
-  ASSERT_FALSE(enabled());
-  Ledger::global().clear();
-  // The disabled fast path is one relaxed atomic load + branch per call
-  // site (a few ns). The bound is two orders of magnitude above that so
-  // CI noise, sanitizers, or debug builds cannot trip it — it catches a
-  // regression that puts real work (locking, allocation, serialization)
-  // on the disabled path.
+  ASSERT_FALSE(sink_enabled(Sink::kLedger));
+  // With the switch off, what a loop pays for the ledger is resolving its
+  // sink once per run (then one null check per record site). The bound
+  // is two orders of magnitude above a relaxed load + branch so CI noise,
+  // sanitizers, or debug builds cannot trip it — it catches a regression
+  // that puts real work (locking, allocation) on the disabled path.
   constexpr int kIters = 200'000;
+  std::size_t resolved = 0;
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < kIters; ++i) {
-    RequestRecord request;
-    request.index = static_cast<std::uint64_t>(i);
-    record(std::move(request));
-    JobRecord job;
-    job.index = static_cast<std::uint64_t>(i);
-    record(std::move(job));
+    resolved += Ledger::sink(nullptr) != nullptr ? 1 : 0;
   }
   const double elapsed_ns =
       static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -313,8 +313,10 @@ TEST(LedgerTest, DisabledLedgerOverheadStaysNegligible) {
                               .count());
   const double ns_per_iter = elapsed_ns / kIters;
   EXPECT_LT(ns_per_iter, 1000.0) << "disabled-path cost regressed";
-  EXPECT_TRUE(Ledger::global().requests().empty());
-  EXPECT_TRUE(Ledger::global().jobs().empty());
+  EXPECT_EQ(resolved, 0u);
+
+  Ledger explicit_sink;
+  EXPECT_EQ(Ledger::sink(&explicit_sink), &explicit_sink);
 }
 
 } // namespace

@@ -60,7 +60,7 @@ SchedRun run_policy(sched::FrequencyPolicy policy, ThreadPool* pool) {
 
   metrics::Registry::global().clear();
   const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   sched::ClusterScheduler scheduler(cluster, shared_registry(),
                                     sched_config);
   SchedRun run;
@@ -68,7 +68,7 @@ SchedRun run_policy(sched::FrequencyPolicy policy, ThreadPool* pool) {
   run.stats = scheduler.stats();
   run.metrics_json =
       metrics::Registry::global().snapshot().to_json(true).dump(2);
-  metrics::set_enabled(was_enabled);
+  set_sink_enabled(Sink::kMetrics, was_enabled);
   metrics::Registry::global().clear();
   return run;
 }

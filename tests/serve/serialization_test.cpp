@@ -122,6 +122,28 @@ TEST(SerializationTest, TamperedForestIsRejected) {
   EXPECT_THROW(ModelArtifact::from_json(doc), contract_error);
 }
 
+// Sets the root split of the first time-model tree to read column
+// `feature` (a synthetic forest's root is always a split).
+void set_root_feature(json::Value& doc, double feature) {
+  json::Value& tree0 = doc.at("model").at("time").at("trees").as_array()[0];
+  json::Value::Array& root = tree0.at("nodes").as_array()[0].as_array();
+  ASSERT_GE(root[0].as_number(), 0.0);
+  root[0] = json::Value(feature);
+}
+
+TEST(SerializationTest, FeatureIndexAtInputWidthIsRejected) {
+  // Query rows are the domain features plus the frequency column; a split
+  // on column `width` would read past the end of every row.
+  const ModelArtifact artifact = synthetic_artifact(9);
+  const double width =
+      static_cast<double>(artifact.feature_names.size() + 1);
+  json::Value doc = artifact.to_json();
+  set_root_feature(doc, width - 1.0);
+  EXPECT_NO_THROW(ModelArtifact::from_json(doc));
+  set_root_feature(doc, width);
+  EXPECT_THROW(ModelArtifact::from_json(doc), contract_error);
+}
+
 TEST(SerializationTest, EmptyFrequencyScheduleIsRejected) {
   json::Value doc = synthetic_artifact(8).to_json();
   doc.set("freqs_mhz", json::Value::array());
@@ -229,6 +251,15 @@ TEST(HybridSerializationTest, BadInputWidthIsRejected) {
     EXPECT_THROW(ModelArtifact::from_json(doc), contract_error)
         << "width " << width;
   }
+}
+
+TEST(HybridSerializationTest, FeatureIndexAtInputWidthIsRejected) {
+  json::Value doc = serve_test::synthetic_hybrid_artifact(8).to_json();
+  const double width = doc.at("model").at("input_width").as_number();
+  set_root_feature(doc, width - 1.0);
+  EXPECT_NO_THROW(ModelArtifact::from_json(doc));
+  set_root_feature(doc, width);
+  EXPECT_THROW(ModelArtifact::from_json(doc), contract_error);
 }
 
 TEST(HybridSerializationTest, TamperedForestIsRejected) {

@@ -59,14 +59,14 @@ ServeRun run_with_pool(std::size_t threads) {
   ThreadPool pool(threads);
   metrics::Registry::global().clear();
   const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(true);
+  set_sink_enabled(Sink::kMetrics, true);
   ServeLoop loop(shared_registry(), config_for(&pool));
   ServeRun run;
   run.responses = loop.run(shared_trace());
   run.stats = loop.stats();
   run.metrics_json =
       metrics::Registry::global().snapshot().to_json(true).dump(2);
-  metrics::set_enabled(was_enabled);
+  set_sink_enabled(Sink::kMetrics, was_enabled);
   metrics::Registry::global().clear();
   return run;
 }
