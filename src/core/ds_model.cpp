@@ -36,19 +36,29 @@ DomainSpecificModel::DomainSpecificModel(const ml::Regressor& prototype,
 DomainSpecificModel::DomainSpecificModel()
     : DomainSpecificModel(ml::RandomForestRegressor(default_forest_params())) {}
 
+std::vector<std::size_t>
+DomainSpecificModel::selected_rows(const Dataset& dataset,
+                                   std::span<const std::size_t> rows) {
+  DSEM_ENSURE(dataset.rows() > 0, "training on an empty dataset");
+  if (!rows.empty()) {
+    return {rows.begin(), rows.end()};
+  }
+  std::vector<std::size_t> all(dataset.rows());
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
 void DomainSpecificModel::train(const Dataset& dataset,
                                 std::span<const std::size_t> rows) {
-  DSEM_ENSURE(dataset.rows() > 0, "training on an empty dataset");
+  const std::vector<std::size_t> selected = selected_rows(dataset, rows);
   trace::Span span("train.ds", trace::cat::kTrain);
-  span.value(static_cast<double>(rows.empty() ? dataset.rows() : rows.size()));
+  span.value(static_cast<double>(selected.size()));
   metrics::ScopedTimer timer("train.ds_s");
-  std::vector<std::size_t> all;
-  if (rows.empty()) {
-    all.resize(dataset.rows());
-    std::iota(all.begin(), all.end(), 0);
-    rows = all;
-  }
-  const ml::Matrix x = dataset.x.gather_rows(rows);
+  fit(dataset.x.gather_rows(selected), dataset, selected);
+}
+
+void DomainSpecificModel::fit(const ml::Matrix& x, const Dataset& dataset,
+                              std::span<const std::size_t> rows) {
   std::vector<double> t(rows.size());
   std::vector<double> e(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -63,6 +73,7 @@ void DomainSpecificModel::train(const Dataset& dataset,
   }
   time_model_->fit(x, t);
   energy_model_->fit(x, e);
+  input_width_ = x.cols();
   trained_ = true;
 }
 
@@ -82,15 +93,20 @@ DomainSpecificModel DomainSpecificModel::from_json(const json::Value& value,
   model.energy_model_ =
       ml::regressor_from_json(value.at("energy"), input_width);
   model.log_targets_ = value.at("log_targets").as_bool();
+  model.input_width_ = input_width;
   model.trained_ = true;
   return model;
 }
 
-Prediction DomainSpecificModel::predict(std::span<const double> domain_features,
+Prediction DomainSpecificModel::predict(std::span<const double> prefix,
                                         std::span<const double> freqs_mhz,
                                         double default_freq_mhz) const {
   DSEM_ENSURE(trained_, "predict on an untrained DomainSpecificModel");
   DSEM_ENSURE(!freqs_mhz.empty(), "predict over an empty frequency list");
+  DSEM_ENSURE(prefix.size() + 1 == input_width_,
+              "predict: query has " + std::to_string(prefix.size()) +
+                  " features, the model was trained on " +
+                  std::to_string(input_width_ - 1));
 
   Prediction out;
   out.freqs_mhz.assign(freqs_mhz.begin(), freqs_mhz.end());
@@ -99,10 +115,10 @@ Prediction DomainSpecificModel::predict(std::span<const double> domain_features,
 
   // One batch for the whole frequency grid (baseline row last): each row
   // is an independent predict_one, so batching changes nothing but speed.
-  ml::Matrix queries(freqs_mhz.size() + 1, domain_features.size() + 1);
+  ml::Matrix queries(freqs_mhz.size() + 1, input_width_);
   for (std::size_t i = 0; i <= freqs_mhz.size(); ++i) {
     auto row = queries.row(i);
-    std::copy(domain_features.begin(), domain_features.end(), row.begin());
+    std::copy(prefix.begin(), prefix.end(), row.begin());
     row.back() = i < freqs_mhz.size() ? freqs_mhz[i] : default_freq_mhz;
   }
   std::vector<double> t_pred = time_model_->predict_many(queries);

@@ -28,6 +28,11 @@ struct Prediction {
   std::vector<std::size_t> pareto_indices() const;
 };
 
+class HybridModel;
+
+/// The one per-input curve model: the paper's domain-specific family over
+/// [domain features..., frequency], and the implementation the hybrid
+/// family (core/hybrid_model.hpp) runs over its fused prefix.
 class DomainSpecificModel {
 public:
   /// Uses clones of `prototype` for the time and energy regressors.
@@ -46,31 +51,48 @@ public:
 
   bool trained() const noexcept { return trained_; }
 
+  /// Regressor query width: prefix features + 1 (the frequency column).
+  std::size_t input_width() const noexcept { return input_width_; }
+
   /// Predicts the full curve for one input across `freqs`, with speedup /
   /// normalized energy baselined on the prediction at `default_freq_mhz`.
-  Prediction predict(std::span<const double> domain_features,
+  /// `prefix` is everything before the frequency column (the domain
+  /// features here, the fused vector for the hybrid family) and must have
+  /// input_width() - 1 entries; any other width is a contract_error.
+  Prediction predict(std::span<const double> prefix,
                      std::span<const double> freqs_mhz,
                      double default_freq_mhz) const;
 
   const ml::Regressor& time_model() const { return *time_model_; }
-  const ml::Regressor& energy_model() const { return *energy_model_; }
-  bool log_targets() const noexcept { return log_targets_; }
 
   /// Serializes the trained model (both regressors, via ml/serialize) so
   /// it can be stored in a "dsem-model-v1" artifact (serve/artifact.hpp).
   /// Round-trips bit-identically: from_json(to_json()) predicts the same
   /// values bit for bit. Throws for untrained models.
   json::Value to_json() const;
-  /// `input_width` is the regressors' query width (domain features + the
+  /// `input_width` is the regressors' query width (prefix features + the
   /// frequency column); every tree split is checked against it.
   static DomainSpecificModel from_json(const json::Value& value,
                                        std::size_t input_width);
 
 private:
+  friend class HybridModel;
+
+  /// `rows`, or every row of a non-empty `dataset` when `rows` is empty
+  /// (the train() convention).
+  static std::vector<std::size_t>
+  selected_rows(const Dataset& dataset, std::span<const std::size_t> rows);
+
+  /// The shared fit: `x` holds one query row per entry of `rows`, whose
+  /// time/energy targets come from `dataset`.
+  void fit(const ml::Matrix& x, const Dataset& dataset,
+           std::span<const std::size_t> rows);
+
   std::unique_ptr<ml::Regressor> time_model_;
   std::unique_ptr<ml::Regressor> energy_model_;
   bool log_targets_ = true;
   bool trained_ = false;
+  std::size_t input_width_ = 0;
 };
 
 } // namespace dsem::core

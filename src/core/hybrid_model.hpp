@@ -12,16 +12,21 @@
 // extrapolation to unseen input sizes anchors on physics instead of tree
 // boundaries (Afzal et al., arXiv 2607.00819).
 //
+// The hybrid family is the domain-specific curve model over a wider
+// prefix: this class only builds the fused prefix (one per input group)
+// and delegates the fit, the batched curve predict and the baseline
+// normalisation to its DomainSpecificModel. Serving reaches it through
+// serve::ModelArtifact::predict, which rebuilds the workload from the
+// request's domain features.
+//
 // Training and prediction are bit-identical for any thread-pool size: the
 // fused features are pure arithmetic and the regressors inherit the ml::
 // determinism contract.
 #pragma once
 
-#include <memory>
-
 #include "common/json.hpp"
 #include "core/dataset.hpp"
-#include "core/ds_model.hpp" // for Prediction
+#include "core/ds_model.hpp"
 #include "core/kernel_features.hpp"
 #include "ml/forest.hpp"
 
@@ -46,7 +51,7 @@ public:
              const sim::DeviceSpec& spec,
              std::span<const std::size_t> rows = {});
 
-  bool trained() const noexcept { return trained_; }
+  bool trained() const noexcept { return model_.trained(); }
 
   /// Predicts the full curve for one workload across `freqs_mhz`, with
   /// speedup / normalized energy baselined on the prediction at
@@ -55,17 +60,8 @@ public:
                      std::span<const double> freqs_mhz,
                      double default_freq_mhz) const;
 
-  /// Low-level variant for callers that already hold the fused vector
-  /// (fused_feature_vector); `fused` must have input_width() - 1 entries.
-  Prediction predict_fused(std::span<const double> fused,
-                           std::span<const double> freqs_mhz,
-                           double default_freq_mhz) const;
-
-  const ml::Regressor& time_model() const { return *time_model_; }
-  const ml::Regressor& energy_model() const { return *energy_model_; }
-  bool log_targets() const noexcept { return log_targets_; }
   /// Regressor input width: fused features + 1 (frequency column).
-  std::size_t input_width() const noexcept { return input_width_; }
+  std::size_t input_width() const noexcept { return model_.input_width(); }
 
   /// Serializes the trained model (ml/serialize) for the "dsem-model-v1"
   /// hybrid payload. Round-trips byte-stably and predicts bit-identically
@@ -74,11 +70,7 @@ public:
   static HybridModel from_json(const json::Value& value);
 
 private:
-  std::unique_ptr<ml::Regressor> time_model_;
-  std::unique_ptr<ml::Regressor> energy_model_;
-  bool log_targets_ = true;
-  bool trained_ = false;
-  std::size_t input_width_ = 0;
+  DomainSpecificModel model_;
 };
 
 } // namespace dsem::core

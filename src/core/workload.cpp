@@ -1,6 +1,7 @@
 #include "core/workload.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "cronos/kernels.hpp"
@@ -126,8 +127,11 @@ std::vector<KernelLaunch> LigenWorkload::kernel_launches() const {
 std::unique_ptr<Workload>
 workload_from_features(const std::string& application,
                        std::span<const double> features) {
+  // Each value must round to a positive int: [0.5, INT_MAX + 0.5) holds
+  // exactly those (and rejects NaN), so the narrowing below is exact.
   const auto as_int = [&](std::size_t i) {
-    DSEM_ENSURE(i < features.size() && std::isfinite(features[i]),
+    DSEM_ENSURE(i < features.size() && features[i] >= 0.5 &&
+                    features[i] < std::numeric_limits<int>::max() + 0.5,
                 "workload_from_features: bad feature vector for " +
                     application);
     return static_cast<int>(std::llround(features[i]));

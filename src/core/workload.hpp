@@ -113,9 +113,10 @@ private:
 /// vector, using the canonical run shapes of the serving training sets
 /// (cronos: 10 solver steps; ligen: default docking parameters and batch
 /// size). This is how the serving layer recovers per-kernel features for
-/// hybrid-model queries that carry only domain features. Features are
-/// rounded to the nearest integer; throws for unknown applications or
-/// out-of-range values.
+/// hybrid-model queries that carry only domain features
+/// (serve::ModelArtifact::predict). Features are rounded to the nearest
+/// integer; throws for unknown applications and for values that do not
+/// round to a positive int (non-finite, < 0.5, or > INT_MAX).
 std::unique_ptr<Workload>
 workload_from_features(const std::string& application,
                        std::span<const double> features);

@@ -678,6 +678,12 @@ DecisionTreeRegressor::from_nodes(TreeParams params,
   return tree;
 }
 
+// Cache-line aligned: every forest query walks this loop once per tree,
+// and its speed depends on where the loop sits within a 64-byte line.
+// With the default 16-byte function alignment that placement moves with
+// any change elsewhere in the binary; on a Xeon (Emerald Rapids) host the
+// serve benchmark's miss path ran ~15% slower at the worst placement.
+[[gnu::aligned(64)]]
 double DecisionTreeRegressor::predict_one(std::span<const double> x) const {
   DSEM_ENSURE(!nodes_.empty(), "predict on unfitted DecisionTreeRegressor");
   std::size_t node = 0;

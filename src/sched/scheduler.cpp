@@ -115,9 +115,6 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
       if (slot == nullptr) {
         slot = registry_.require(
             serve::ModelKey{job.spec.application, config_.device});
-        DSEM_ENSURE(slot->is_advisable(),
-                    "sched: scheduler requires a domain-specific or "
-                    "hybrid model for " + slot->key.to_string());
       }
     }
   }
@@ -168,13 +165,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
       plan.cand_freqs_mhz =
           strided_candidates(artifact.freqs_mhz, config_.freq_stride);
       const core::Prediction pred =
-          artifact.is_hybrid()
-              ? artifact.hybrid->predict(*workload, spec,
-                                         plan.cand_freqs_mhz,
-                                         artifact.default_freq_mhz)
-              : artifact.ds->predict(job.request.features,
-                                     plan.cand_freqs_mhz,
-                                     artifact.default_freq_mhz);
+          artifact.predict(job.request.features, plan.cand_freqs_mhz);
       plan.cand_time_s.reserve(pred.speedup.size());
       plan.cand_energy_j.reserve(pred.norm_energy.size());
       for (std::size_t k = 0; k < pred.speedup.size(); ++k) {

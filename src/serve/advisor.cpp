@@ -4,8 +4,6 @@
 #include <cstdio>
 
 #include "common/error.hpp"
-#include "core/workload.hpp"
-#include "sim/device_spec.hpp"
 
 namespace dsem::serve {
 
@@ -63,32 +61,14 @@ std::string cache_key(const ModelKey& key, const AdviseRequest& request,
 
 AdviseAnswer Advisor::advise(const ModelArtifact& artifact,
                              const AdviseRequest& request) const {
-  DSEM_ENSURE(artifact.is_advisable(),
-              "advisor: serving needs a domain-specific or hybrid artifact");
   DSEM_ENSURE(request.application == artifact.key.application,
               "advisor: request for \"" + request.application +
                   "\" routed to model " + artifact.key.to_string());
-  DSEM_ENSURE(request.features.size() == artifact.feature_names.size(),
-              "advisor: feature count mismatch for " +
-                  artifact.key.to_string());
   DSEM_ENSURE(request.max_slowdown >= 0.0,
               "advisor: negative slowdown budget");
 
-  core::Prediction pred;
-  if (artifact.is_hybrid()) {
-    // Hybrid queries carry only domain features; the fused block is
-    // recomputed from the canonical workload those features describe, on
-    // the device preset the artifact key names — the same construction
-    // the training run used, so serving stays bit-identical to it.
-    const auto workload =
-        core::workload_from_features(request.application, request.features);
-    const sim::DeviceSpec spec = sim::preset_by_name(artifact.key.device);
-    pred = artifact.hybrid->predict(*workload, spec, artifact.freqs_mhz,
-                                    artifact.default_freq_mhz);
-  } else {
-    pred = artifact.ds->predict(request.features, artifact.freqs_mhz,
-                                artifact.default_freq_mhz);
-  }
+  const core::Prediction pred =
+      artifact.predict(request.features, artifact.freqs_mhz);
   bool infeasible = false;
   const std::size_t pick =
       pick_within_slowdown(pred, request.max_slowdown, &infeasible);

@@ -4,12 +4,13 @@
 // An AdviseRequest asks "for this input, which core frequency minimizes
 // energy while staying within my slowdown budget?". The Advisor answers
 // it from a trained artifact exactly the way the one-shot
-// frequency_advisor example does: predict the full frequency curve,
-// extract the predicted Pareto front, pick the lowest-energy front point
-// within the budget. Batching fans independent requests across a thread
-// pool; each request's frequency grid is one ml::Regressor::predict_many
-// batch, and every answer is bit-identical to the serial single-request
-// path for any pool size.
+// frequency_advisor example does: predict the full frequency curve
+// (ModelArtifact::predict, the one prediction entry it shares with the
+// scheduler), extract the predicted Pareto front, pick the lowest-energy
+// front point within the budget. Batching fans independent requests
+// across a thread pool; each request's frequency grid is one
+// ml::Regressor::predict_many batch, and every answer is bit-identical to
+// the serial single-request path for any pool size.
 #pragma once
 
 #include <cstddef>
@@ -59,10 +60,9 @@ public:
   /// `pool` runs batched requests; nullptr = ThreadPool::global().
   explicit Advisor(ThreadPool* pool = nullptr) : pool_(pool) {}
 
-  /// Answers one request from a domain-specific or hybrid artifact.
-  /// Hybrid artifacts recompute their fused feature block from the
-  /// request's domain features (core::workload_from_features) on the
-  /// device preset named by the artifact key.
+  /// Answers one request from a domain-specific or hybrid artifact: the
+  /// curve comes from ModelArtifact::predict (which validates the
+  /// features), the pick from pick_within_slowdown.
   AdviseAnswer advise(const ModelArtifact& artifact,
                       const AdviseRequest& request) const;
 

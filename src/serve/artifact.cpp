@@ -1,14 +1,36 @@
 #include "serve/artifact.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/error.hpp"
+#include "core/workload.hpp"
+#include "sim/device_spec.hpp"
 
 namespace dsem::serve {
 
+core::Prediction ModelArtifact::predict(std::span<const double> features,
+                                        std::span<const double> freqs) const {
+  DSEM_ENSURE(is_advisable(), "artifact " + key.to_string() +
+                                  ": predictions need a domain-specific or "
+                                  "hybrid model");
+  DSEM_ENSURE(features.size() == feature_names.size(),
+              "artifact " + key.to_string() + ": feature count mismatch");
+  DSEM_ENSURE(std::all_of(features.begin(), features.end(),
+                          [](double f) { return std::isfinite(f); }),
+              "artifact " + key.to_string() + ": non-finite feature");
+  if (ds != nullptr) {
+    return ds->predict(features, freqs, default_freq_mhz);
+  }
+  // The canonical workload the features describe, on the device preset
+  // the key names: the construction the hybrid training run used.
+  const auto workload = core::workload_from_features(key.application, features);
+  return hybrid->predict(*workload, sim::preset_by_name(key.device), freqs,
+                         default_freq_mhz);
+}
+
 json::Value ModelArtifact::to_json() const {
-  const int kinds = static_cast<int>(ds != nullptr) +
-                    static_cast<int>(gp != nullptr) +
-                    static_cast<int>(hybrid != nullptr);
-  DSEM_ENSURE(kinds == 1, "artifact must hold exactly one model");
+  DSEM_ENSURE(holds_one_model(), "artifact must hold exactly one model");
   DSEM_ENSURE(!key.application.empty() && !key.device.empty(),
               "artifact key must name an application and a device");
   DSEM_ENSURE(!freqs_mhz.empty(), "artifact without a frequency schedule");

@@ -1,11 +1,13 @@
 // Serialized model artifacts: the "dsem-model-v1" schema (DESIGN.md §7.11).
 //
 // The serving layer's unit of deployment: one trained model — the paper's
-// domain-specific family or the general-purpose baseline — bundled with
-// everything a server needs to answer queries without re-profiling the
-// device: the (application, device) key, the frequency schedule it was
-// trained over, the default clock used as the speedup/energy baseline,
-// and the domain feature names (doubling as the input-width contract).
+// domain-specific family, the hybrid family or the general-purpose
+// baseline — bundled with everything a server needs to answer queries
+// without re-profiling the device: the (application, device) key, the
+// frequency schedule it was trained over, the default clock used as the
+// speedup/energy baseline, and the domain feature names (doubling as the
+// input-width contract). ModelArtifact::predict is the one place serve
+// and sched turn a request's features into a predicted curve.
 //
 // Artifacts round-trip bit-identically: to_json uses the deterministic
 // common/json writer ("%.17g" doubles, insertion-ordered keys), so
@@ -16,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,10 +42,9 @@ struct ModelKey {
 };
 
 /// One deployable model. Exactly one of `ds` / `gp` / `hybrid` is set (the
-/// artifact kind); the serving loop accepts `ds` and `hybrid` — both
-/// families answer per-input frequency queries, hybrid ones recomputing
-/// their fused features from the request's domain features via
-/// core::workload_from_features and the key's device preset.
+/// artifact kind); predict() answers for `ds` and `hybrid` — both families
+/// are the per-input curve model, the hybrid one over a fused prefix it
+/// rebuilds from the request's domain features.
 struct ModelArtifact {
   ModelKey key;
   std::string origin; ///< provenance, e.g. "trained-in-process" or a path
@@ -58,6 +60,20 @@ struct ModelArtifact {
   /// True for the kinds that can answer advisor queries (per-input
   /// time/energy curves): domain-specific and hybrid.
   bool is_advisable() const noexcept { return ds != nullptr || hybrid != nullptr; }
+  /// True when exactly one of the three model slots is set.
+  bool holds_one_model() const noexcept {
+    return (ds != nullptr) + (gp != nullptr) + (hybrid != nullptr) == 1;
+  }
+
+  /// The one prediction entry of serve and sched: the curve for one
+  /// input's domain `features` across `freqs_mhz`, baselined at
+  /// default_freq_mhz. Throws contract_error unless the artifact is
+  /// advisable and `features` are finite and match feature_names in
+  /// count. Hybrid artifacts rebuild the workload the features describe
+  /// (core::workload_from_features) on the device preset the key names
+  /// and predict over its fused prefix.
+  core::Prediction predict(std::span<const double> features,
+                           std::span<const double> freqs_mhz) const;
 
   /// "dsem-model-v1" document. Deterministic: calling it twice on the
   /// same artifact yields byte-identical dumps.

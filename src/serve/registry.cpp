@@ -5,10 +5,8 @@
 namespace dsem::serve {
 
 void ModelRegistry::put(ModelArtifact artifact) {
-  const int kinds = static_cast<int>(artifact.ds != nullptr) +
-                    static_cast<int>(artifact.gp != nullptr) +
-                    static_cast<int>(artifact.hybrid != nullptr);
-  DSEM_ENSURE(kinds == 1, "registry: artifact must hold exactly one model");
+  DSEM_ENSURE(artifact.holds_one_model(),
+              "registry: artifact must hold exactly one model");
   DSEM_ENSURE(artifact.ds == nullptr || artifact.ds->trained(),
               "registry: untrained domain-specific model");
   DSEM_ENSURE(artifact.gp == nullptr || artifact.gp->trained(),

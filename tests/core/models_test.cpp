@@ -208,5 +208,36 @@ TEST_F(GpModelTest, ValidatesTrainingArguments) {
   EXPECT_THROW(gp.train(device_, suite, 1, 0), contract_error);
 }
 
+TEST(DomainSpecificModelTest, RejectsQueryWidthMismatch) {
+  // Trained on [3 domain features, frequency]; a query must carry exactly
+  // the 3 domain features, in release builds too.
+  Dataset dataset;
+  dataset.x = ml::Matrix(8, 4);
+  for (std::size_t r = 0; r < 8; ++r) {
+    const double i = static_cast<double>(r);
+    dataset.x(r, 0) = 10.0 + i;
+    dataset.x(r, 1) = 4.0;
+    dataset.x(r, 2) = 1.0 + 2.0 * i;
+    dataset.x(r, 3) = r % 2 == 0 ? 1400.0 : 1000.0;
+    dataset.time_s.push_back(1.0 + 0.1 * i);
+    dataset.energy_j.push_back(50.0 + i);
+    dataset.groups.push_back(static_cast<int>(r / 2));
+  }
+  ml::ForestParams params;
+  params.n_estimators = 4;
+  params.max_depth = 3;
+  DomainSpecificModel model{ml::RandomForestRegressor(params)};
+  model.train(dataset);
+
+  const std::vector<double> freqs = {1000.0, 1400.0};
+  EXPECT_NO_THROW(
+      model.predict(std::vector<double>{12.0, 4.0, 5.0}, freqs, 1400.0));
+  EXPECT_THROW(model.predict(std::vector<double>{12.0, 4.0}, freqs, 1400.0),
+               contract_error);
+  EXPECT_THROW(model.predict(std::vector<double>{12.0, 4.0, 5.0, 1.0}, freqs,
+                             1400.0),
+               contract_error);
+}
+
 } // namespace
 } // namespace dsem::core

@@ -98,5 +98,19 @@ TEST_F(WorkloadTest, ValidationOfParameters) {
   EXPECT_THROW(LigenWorkload(10, 1, 1), contract_error);
 }
 
+TEST_F(WorkloadTest, FromFeaturesRejectsValuesOutsidePositiveIntRange) {
+  const auto rebuild = [](const char* app, std::vector<double> features) {
+    return workload_from_features(app, features);
+  };
+  EXPECT_EQ(rebuild("cronos", {16.0, 8.0, 8.4})->domain_features(),
+            (std::vector<double>{16.0, 8.0, 8.0}));
+  EXPECT_EQ(rebuild("ligen", {1e4, 20.0, 89.0})->domain_features(),
+            (std::vector<double>{1e4, 20.0, 89.0}));
+  for (const double bad : {1e300, -1.0, 0.0, 0.4, 4294967312.0}) {
+    EXPECT_THROW(rebuild("cronos", {16.0, bad, 8.0}), contract_error) << bad;
+    EXPECT_THROW(rebuild("ligen", {bad, 20.0, 89.0}), contract_error) << bad;
+  }
+}
+
 } // namespace
 } // namespace dsem::core

@@ -3,13 +3,28 @@
 // trained models produces bit-identical outcomes, stats, and
 // deterministic metrics snapshots for thread pools of 1, 2, and 8
 // workers — and the model-driven policy dominates the max-clock baseline
-// on cluster energy at equal or fewer deadline misses.
+// on cluster energy at equal or fewer deadline misses. The same trace
+// under hybrid-family artifacts is pinned to a committed golden.
+//
+// To regenerate the hybrid golden after a conscious behavior change:
+//   DSEM_WRITE_GOLDEN=1 ./dsem_sched_tests --gtest_filter=SchedDeterminism.*
+// then commit the rewritten tests/data/golden_sched_hybrid_v100.json.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/metrics.hpp"
+#include "core/kernel_features.hpp"
+#include "core/workload.hpp"
 #include "sched/scheduler.hpp"
 #include "../serve/serve_test_util.hpp"
 
@@ -26,6 +41,17 @@ const ModelRegistry& shared_registry() {
     auto* r = new ModelRegistry;
     r->put(serve_test::train_compact_artifact("cronos"));
     r->put(serve_test::train_compact_artifact("ligen"));
+    return r;
+  }();
+  return *registry;
+}
+
+// The same compact sweeps, fitted with the hybrid family.
+const ModelRegistry& hybrid_registry() {
+  static ModelRegistry* registry = [] {
+    auto* r = new ModelRegistry;
+    r->put(serve_test::train_compact_artifact("cronos", /*hybrid=*/true));
+    r->put(serve_test::train_compact_artifact("ligen", /*hybrid=*/true));
     return r;
   }();
   return *registry;
@@ -49,20 +75,22 @@ struct SchedRun {
   std::string metrics_json; ///< deterministic-only snapshot
 };
 
-SchedRun run_policy(sched::FrequencyPolicy policy, ThreadPool* pool) {
+SchedRun run_policy(sched::FrequencyPolicy policy, ThreadPool* pool,
+                    const ModelRegistry& registry = shared_registry(),
+                    double model_margin = 6.0) {
   celerity::ClusterConfig config;
   config.nodes = 4;
   celerity::Cluster cluster(sim::v100(), config);
   sched::SchedConfig sched_config;
   sched_config.frequency = policy;
-  sched_config.margin = policy == sched::FrequencyPolicy::kModel ? 6.0 : 1.0;
+  sched_config.margin =
+      policy == sched::FrequencyPolicy::kModel ? model_margin : 1.0;
   sched_config.pool = pool;
 
   metrics::Registry::global().clear();
   const bool was_enabled = metrics::enabled();
   set_sink_enabled(Sink::kMetrics, true);
-  sched::ClusterScheduler scheduler(cluster, shared_registry(),
-                                    sched_config);
+  sched::ClusterScheduler scheduler(cluster, registry, sched_config);
   SchedRun run;
   run.outcomes = scheduler.run(shared_trace());
   run.stats = scheduler.stats();
@@ -73,9 +101,71 @@ SchedRun run_policy(sched::FrequencyPolicy policy, ThreadPool* pool) {
   return run;
 }
 
-SchedRun run_model_with_pool(std::size_t threads) {
+SchedRun run_model_with_pool(std::size_t threads,
+                             const ModelRegistry& registry = shared_registry(),
+                             double margin = 6.0) {
   ThreadPool pool(threads);
-  return run_policy(sched::FrequencyPolicy::kModel, &pool);
+  return run_policy(sched::FrequencyPolicy::kModel, &pool, registry, margin);
+}
+
+/// The pinned view of one run: its stats, the p99 turnaround over the
+/// completed jobs (index q * (n - 1) of the sorted turnarounds), and the
+/// predicted time and energy at the chosen clocks summed in trace order,
+/// which pin the model's predictions even where the pick falls back.
+std::string golden_view(const SchedRun& run) {
+  const std::vector<TimedJob>& jobs = shared_trace();
+  std::vector<double> turnaround;
+  double predicted_time_s = 0.0;
+  double predicted_energy_j = 0.0;
+  for (std::size_t i = 0; i < run.outcomes.size(); ++i) {
+    const sched::JobOutcome& outcome = run.outcomes[i];
+    if (!outcome.rejected) {
+      turnaround.push_back(outcome.finish_s - jobs[i].arrival_s);
+    }
+    predicted_time_s += outcome.predicted_time_s;
+    predicted_energy_j += outcome.predicted_energy_j;
+  }
+  std::sort(turnaround.begin(), turnaround.end());
+  const sched::SchedStats& stats = run.stats;
+  auto out = json::Value::object();
+  out.set("jobs", stats.jobs);
+  out.set("completed", stats.completed);
+  out.set("rejected", stats.rejected);
+  out.set("misses", stats.misses);
+  out.set("infeasible", stats.infeasible);
+  out.set("energy_j", stats.energy_j);
+  out.set("busy_energy_j", stats.busy_energy_j);
+  out.set("idle_energy_j", stats.idle_energy_j);
+  out.set("makespan_s", stats.makespan_s);
+  out.set("p99_turnaround_s",
+          turnaround.empty()
+              ? 0.0
+              : turnaround[static_cast<std::size_t>(
+                    0.99 * static_cast<double>(turnaround.size() - 1))]);
+  out.set("predicted_time_s", predicted_time_s);
+  out.set("predicted_energy_j", predicted_energy_j);
+  return out.dump(2);
+}
+
+void expect_matches_golden(const std::string& filename,
+                           const std::string& view) {
+  const std::string path = std::string(DSEM_TEST_DATA_DIR) + "/" + filename;
+  if (std::getenv("DSEM_WRITE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write golden: " << path;
+    out << view << "\n";
+    GTEST_SKIP() << "golden regenerated: " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open())
+      << "missing golden file " << path
+      << " (regenerate with DSEM_WRITE_GOLDEN=1 and commit it)";
+  std::ostringstream content;
+  content << in.rdbuf();
+  EXPECT_EQ(content.str(), view + "\n")
+      << "scheduler stats diverged from " << filename
+      << "; if the change is intentional, regenerate with "
+         "DSEM_WRITE_GOLDEN=1";
 }
 
 TEST(SchedDeterminism, OutcomesIdenticalForPools1_2_8) {
@@ -118,6 +208,57 @@ TEST(SchedDeterminism, ModelPolicyDominatesMaxClockBaseline) {
   // the naive always-max policy cannot see.
   EXPECT_LT(model.stats.energy_j, max_clock.stats.energy_j);
   EXPECT_LE(model.stats.misses, max_clock.stats.misses);
+}
+
+TEST(SchedDeterminism, HybridModelPolicyMatchesGoldenForPools1_2_8) {
+  // The scheduler's default margin: there the picked clocks follow the
+  // predicted curves (at the margin of 6 above, every job falls back to
+  // the maximum clock).
+  const double margin = sched::SchedConfig{}.margin;
+  const SchedRun serial = run_model_with_pool(1, hybrid_registry(), margin);
+  const SchedRun two = run_model_with_pool(2, hybrid_registry(), margin);
+  const SchedRun eight = run_model_with_pool(8, hybrid_registry(), margin);
+  ASSERT_EQ(serial.outcomes.size(), 10000u);
+  EXPECT_EQ(serial.outcomes, two.outcomes);
+  EXPECT_EQ(serial.outcomes, eight.outcomes);
+  EXPECT_EQ(serial.metrics_json, two.metrics_json);
+  EXPECT_EQ(serial.metrics_json, eight.metrics_json);
+  const std::string view = golden_view(serial);
+  EXPECT_EQ(view, golden_view(two));
+  EXPECT_EQ(view, golden_view(eight));
+  expect_matches_golden("golden_sched_hybrid_v100.json", view);
+}
+
+TEST(SchedDeterminism, HybridFusedFeaturesFromSpecMatchFeatureRebuild) {
+  // A hybrid query is built from the job's domain features on the
+  // artifact's device preset (serve::ModelArtifact::predict). On this
+  // trace that is the very vector the job's own spec gives on the
+  // cluster's V100, so the construction changes no scheduling decision.
+  const sim::DeviceSpec cluster_spec = sim::v100();
+  const sim::DeviceSpec preset = sim::preset_by_name("v100");
+  std::set<std::pair<std::string, std::vector<double>>> seen;
+  for (const TimedJob& job : shared_trace()) {
+    const std::string& app = job.spec.application;
+    if (!seen.emplace(app, job.request.features).second) {
+      continue;
+    }
+    if (app == "cronos") {
+      EXPECT_EQ(job.spec.steps, 10); // the canonical training shape
+    }
+    const double default_mhz =
+        hybrid_registry().require({app, "v100"})->default_freq_mhz;
+    const std::vector<double> from_spec = core::fused_feature_vector(
+        *serve::make_workload(job.spec), cluster_spec, default_mhz);
+    const std::vector<double> from_features = core::fused_feature_vector(
+        *core::workload_from_features(app, job.request.features), preset,
+        default_mhz);
+    ASSERT_EQ(from_spec.size(), from_features.size());
+    EXPECT_EQ(std::memcmp(from_spec.data(), from_features.data(),
+                          from_spec.size() * sizeof(double)),
+              0)
+        << app << " input " << seen.size();
+  }
+  EXPECT_GT(seen.size(), 64u);
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/error.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/registry.hpp"
 #include "sim/device_spec.hpp"
@@ -176,6 +177,21 @@ TEST(SchedulerToy, ModelPolicyPicksTheFrequencyComputedByHand) {
   EXPECT_DOUBLE_EQ(outcome.freq_mhz, serve_test::kFreqs[pick.index]);
   EXPECT_DOUBLE_EQ(outcome.predicted_time_s, times[pick.index]);
   EXPECT_DOUBLE_EQ(outcome.predicted_energy_j, energies[pick.index]);
+}
+
+TEST(SchedulerToy, FeatureWidthMismatchIsAContractError) {
+  // The artifact was trained on 3 domain features; a job carrying 2 must
+  // be refused, not answered from whatever the forests read past the row.
+  auto cluster = make_cluster(2);
+  serve::ModelRegistry registry;
+  registry.put(serve_test::synthetic_artifact(11));
+  SchedConfig config;
+  config.frequency = FrequencyPolicy::kModel;
+  ClusterScheduler scheduler(cluster, registry, config);
+
+  std::vector<TimedJob> jobs = {cronos_job(0.0, 5.0)};
+  jobs[0].request.features = {16.0, 8.0};
+  EXPECT_THROW(scheduler.run(jobs), contract_error);
 }
 
 TEST(SchedulerToy, InfeasibleJobRunsAtMaxUnderRunAtMaxFallback) {

@@ -2,8 +2,13 @@
 // bit-identity.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
 #include "serve/advisor.hpp"
+#include "serve/loop.hpp"
+#include "serve/registry.hpp"
 #include "serve_test_util.hpp"
 
 namespace {
@@ -177,6 +182,32 @@ TEST(AdvisorTest, RejectsMalformedRequests) {
   negative_budget.features = {1, 2, 3};
   negative_budget.max_slowdown = -0.1;
   EXPECT_THROW(advisor.advise(artifact, negative_budget), contract_error);
+}
+
+TEST(AdvisorTest, RejectsNonFiniteFeaturesAndCachesNothing) {
+  const serve::ModelArtifact artifact = synthetic_artifact(13);
+  const Advisor advisor;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    AdviseRequest request;
+    request.application = "cronos";
+    request.features = {16.0, bad, 100.0};
+    EXPECT_THROW(advisor.advise(artifact, request), contract_error) << bad;
+  }
+
+  // Through the serving loop: the batch fails before any answer is
+  // inserted into the cache.
+  serve::ModelRegistry registry;
+  registry.put(artifact);
+  serve::ServeLoop loop(registry, serve::ServeConfig{});
+  std::vector<serve::TimedRequest> trace(1);
+  trace[0].request.application = "cronos";
+  trace[0].request.features = {16.0,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               100.0};
+  EXPECT_THROW(loop.run(trace), contract_error);
+  EXPECT_EQ(loop.cache().size(), 0u);
 }
 
 } // namespace

@@ -156,8 +156,10 @@ inline serve::ModelArtifact synthetic_hybrid_artifact(std::uint64_t seed) {
 
 /// A really-trained (device sweep + fit) compact artifact for the
 /// grouped suites: small forest, strided frequencies, 2 repetitions —
-/// fractions of a second instead of the example's full sweep.
-inline serve::ModelArtifact train_compact_artifact(const std::string& app) {
+/// fractions of a second instead of the example's full sweep. `hybrid`
+/// fits the hybrid family on the same sweep instead of the DS one.
+inline serve::ModelArtifact train_compact_artifact(const std::string& app,
+                                                   bool hybrid = false) {
   sim::Device sim_dev(sim::v100(), sim::NoiseConfig{}, 0xAD51);
   synergy::Device device(sim_dev);
   ml::ForestParams params;
@@ -171,7 +173,8 @@ inline serve::ModelArtifact train_compact_artifact(const std::string& app) {
   config.sweep.repetitions = 2;
   config.prototype = &prototype;
   config.origin = "test-train";
-  return serve::train_domain_specific(device, {app, "v100"}, config);
+  return hybrid ? serve::train_hybrid(device, {app, "v100"}, config)
+                : serve::train_domain_specific(device, {app, "v100"}, config);
 }
 
 } // namespace dsem::serve_test
