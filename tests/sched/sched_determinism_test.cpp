@@ -4,11 +4,12 @@
 // deterministic metrics snapshots for thread pools of 1, 2, and 8
 // workers — and the model-driven policy dominates the max-clock baseline
 // on cluster energy at equal or fewer deadline misses. The same trace
-// under hybrid-family artifacts is pinned to a committed golden.
+// under DS and hybrid-family artifacts at the default margin is pinned to
+// committed goldens.
 //
-// To regenerate the hybrid golden after a conscious behavior change:
+// To regenerate the goldens after a conscious behavior change:
 //   DSEM_WRITE_GOLDEN=1 ./dsem_sched_tests --gtest_filter=SchedDeterminism.*
-// then commit the rewritten tests/data/golden_sched_hybrid_v100.json.
+// then commit the rewritten tests/data/golden_sched_{ds,hybrid}_v100.json.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -227,6 +228,24 @@ TEST(SchedDeterminism, HybridModelPolicyMatchesGoldenForPools1_2_8) {
   EXPECT_EQ(view, golden_view(two));
   EXPECT_EQ(view, golden_view(eight));
   expect_matches_golden("golden_sched_hybrid_v100.json", view);
+}
+
+TEST(SchedDeterminism, DsModelPolicyMatchesGoldenForPools1_2_8) {
+  // The DS family at the scheduler's default margin, where the clock picks
+  // follow the predicted curves instead of all falling back to the maximum.
+  const double margin = sched::SchedConfig{}.margin;
+  const SchedRun serial = run_model_with_pool(1, shared_registry(), margin);
+  const SchedRun two = run_model_with_pool(2, shared_registry(), margin);
+  const SchedRun eight = run_model_with_pool(8, shared_registry(), margin);
+  ASSERT_EQ(serial.outcomes.size(), 10000u);
+  EXPECT_EQ(serial.outcomes, two.outcomes);
+  EXPECT_EQ(serial.outcomes, eight.outcomes);
+  EXPECT_EQ(serial.metrics_json, two.metrics_json);
+  EXPECT_EQ(serial.metrics_json, eight.metrics_json);
+  const std::string view = golden_view(serial);
+  EXPECT_EQ(view, golden_view(two));
+  EXPECT_EQ(view, golden_view(eight));
+  expect_matches_golden("golden_sched_ds_v100.json", view);
 }
 
 TEST(SchedDeterminism, HybridFusedFeaturesFromSpecMatchFeatureRebuild) {
