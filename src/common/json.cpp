@@ -150,12 +150,17 @@ void write_number(std::ostream& os, double v) {
 }
 
 /// Recursive-descent parser over a string_view with position tracking.
+/// Container nesting is capped at kMaxDepth so hostile input such as
+/// 10^5 nested '[' fails as a parse error instead of overflowing the
+/// stack; every committed artifact, dataset and ledger nests under 10.
 class Parser {
 public:
+  static constexpr int kMaxDepth = 512;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   Value parse_document() {
-    Value v = parse_value();
+    Value v = parse_value(0);
     skip_whitespace();
     DSEM_ENSURE(pos_ == text_.size(),
                 "json: trailing characters at offset " + std::to_string(pos_));
@@ -204,13 +209,14 @@ private:
     return false;
   }
 
-  Value parse_value() {
+  /// `depth` counts the containers enclosing the value.
+  Value parse_value(int depth) {
     skip_whitespace();
     switch (peek()) {
     case '{':
-      return parse_object();
+      return parse_object(depth);
     case '[':
-      return parse_array();
+      return parse_array(depth);
     case '"':
       return Value(parse_string());
     case 't':
@@ -233,7 +239,15 @@ private:
     }
   }
 
-  Value parse_object() {
+  /// `depth` counts the containers enclosing this one.
+  void check_depth(int depth) const {
+    if (depth >= kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth));
+    }
+  }
+
+  Value parse_object(int depth) {
+    check_depth(depth);
     expect('{');
     Value out = Value::object();
     skip_whitespace();
@@ -246,7 +260,7 @@ private:
       std::string key = parse_string();
       skip_whitespace();
       expect(':');
-      out.as_object().emplace_back(std::move(key), parse_value());
+      out.as_object().emplace_back(std::move(key), parse_value(depth + 1));
       skip_whitespace();
       const char c = next();
       if (c == '}') {
@@ -259,7 +273,8 @@ private:
     }
   }
 
-  Value parse_array() {
+  Value parse_array(int depth) {
+    check_depth(depth);
     expect('[');
     Value out = Value::array();
     skip_whitespace();
@@ -268,7 +283,7 @@ private:
       return out;
     }
     for (;;) {
-      out.push_back(parse_value());
+      out.push_back(parse_value(depth + 1));
       skip_whitespace();
       const char c = next();
       if (c == ']') {

@@ -1,5 +1,6 @@
 #include "core/ds_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -108,39 +109,39 @@ Prediction DomainSpecificModel::predict(std::span<const double> prefix,
                   " features, the model was trained on " +
                   std::to_string(input_width_ - 1));
 
-  Prediction out;
-  out.freqs_mhz.assign(freqs_mhz.begin(), freqs_mhz.end());
-  out.time_s.reserve(freqs_mhz.size());
-  out.energy_j.reserve(freqs_mhz.size());
+  DSEM_ENSURE(std::all_of(freqs_mhz.begin(), freqs_mhz.end(),
+                          [](double f) { return std::isfinite(f); }),
+              "predict: non-finite frequency");
+  DSEM_ENSURE(std::isfinite(default_freq_mhz),
+              "predict: non-finite default frequency");
 
-  // One batch for the whole frequency grid (baseline row last): each row
-  // is an independent predict_one, so batching changes nothing but speed.
-  ml::Matrix queries(freqs_mhz.size() + 1, input_width_);
-  for (std::size_t i = 0; i <= freqs_mhz.size(); ++i) {
-    auto row = queries.row(i);
-    std::copy(prefix.begin(), prefix.end(), row.begin());
-    row.back() = i < freqs_mhz.size() ? freqs_mhz[i] : default_freq_mhz;
-  }
-  std::vector<double> t_pred = time_model_->predict_many(queries);
-  std::vector<double> e_pred = energy_model_->predict_many(queries);
+  // One sweep over the frequency grid with the baseline clock last: each
+  // forest walks every tree once for the whole sweep (bit-identical to
+  // predicting row by row).
+  std::vector<double> sweep;
+  sweep.reserve(freqs_mhz.size() + 1);
+  sweep.assign(freqs_mhz.begin(), freqs_mhz.end());
+  sweep.push_back(default_freq_mhz);
+
+  Prediction out;
+  out.time_s = time_model_->predict_sweep(prefix, sweep);
+  out.energy_j = energy_model_->predict_sweep(prefix, sweep);
   if (log_targets_) {
-    for (double& t : t_pred) {
+    for (double& t : out.time_s) {
       t = std::exp(t);
     }
-    for (double& e : e_pred) {
+    for (double& e : out.energy_j) {
       e = std::exp(e);
     }
   }
-  for (std::size_t i = 0; i < freqs_mhz.size(); ++i) {
-    out.time_s.push_back(t_pred[i]);
-    out.energy_j.push_back(e_pred[i]);
-  }
-
-  const double t_base = t_pred.back();
-  const double e_base = e_pred.back();
+  const double t_base = out.time_s.back();
+  const double e_base = out.energy_j.back();
+  out.time_s.pop_back();
+  out.energy_j.pop_back();
   DSEM_ENSURE(t_base > 0.0 && e_base > 0.0,
               "non-positive predicted baseline");
 
+  out.freqs_mhz.assign(freqs_mhz.begin(), freqs_mhz.end());
   out.speedup.reserve(freqs_mhz.size());
   out.norm_energy.reserve(freqs_mhz.size());
   for (std::size_t i = 0; i < freqs_mhz.size(); ++i) {

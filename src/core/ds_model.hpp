@@ -58,7 +58,11 @@ public:
   /// normalized energy baselined on the prediction at `default_freq_mhz`.
   /// `prefix` is everything before the frequency column (the domain
   /// features here, the fused vector for the hybrid family) and must have
-  /// input_width() - 1 entries; any other width is a contract_error.
+  /// input_width() - 1 entries; any other width is a contract_error, as
+  /// is a non-finite frequency or default frequency. Both regressors are
+  /// queried through ml::Regressor::predict_sweep over `freqs_mhz` plus
+  /// the default clock: a forest walks each tree once per call, not once
+  /// per clock, with results bit-identical to row-by-row predict_one.
   Prediction predict(std::span<const double> prefix,
                      std::span<const double> freqs_mhz,
                      double default_freq_mhz) const;

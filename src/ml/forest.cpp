@@ -1,5 +1,7 @@
 #include "ml/forest.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -110,6 +112,36 @@ std::vector<double> RandomForestRegressor::predict_many(const Matrix& x) const {
     parallel_for_chunks(pool, 0, x.rows(), run);
   } else {
     run(0, x.rows());
+  }
+  return out;
+}
+
+std::vector<double>
+RandomForestRegressor::predict_sweep(std::span<const double> prefix,
+                                     std::span<const double> sweep) const {
+  DSEM_ENSURE(!trees_.empty(), "predict on unfitted RandomForestRegressor");
+  const std::size_t n = sweep.size();
+  // Stable argsort with NaN last: a strict weak order over every double,
+  // under which `x <= threshold` holds on a prefix of every sorted range.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [sweep](std::size_t a, std::size_t b) {
+                     return sweep[a] < sweep[b] ||
+                            (std::isnan(sweep[b]) && !std::isnan(sweep[a]));
+                   });
+  std::vector<double> sorted(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sorted[i] = sweep[order[i]];
+  }
+  std::vector<double> acc(n, 0.0);
+  for (const auto& tree : trees_) {
+    tree.accumulate_sweep(prefix, sorted, acc);
+  }
+  const auto scale = static_cast<double>(trees_.size());
+  std::vector<double> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[order[i]] = acc[i] / scale;
   }
   return out;
 }

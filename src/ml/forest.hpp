@@ -36,6 +36,15 @@ public:
   /// tree's (hot) node array at a time instead of streaming the whole
   /// forest per row. Same sums as predict_one, row by row.
   std::vector<double> predict_many(const Matrix& x) const override;
+  /// Interval walk (DESIGN.md §7.10): argsorts `sweep` once, then walks
+  /// each tree once for the whole sweep (DecisionTreeRegressor::
+  /// accumulate_sweep) instead of once per row. Trees are added in
+  /// ascending order into each row's accumulator, which is divided once by
+  /// the tree count — the predict_one / predict_many arithmetic, so out[i]
+  /// equals predict_one([prefix..., sweep[i]]) bit for bit, ties on split
+  /// thresholds, ±inf and NaN included.
+  std::vector<double> predict_sweep(std::span<const double> prefix,
+                                    std::span<const double> sweep) const override;
   std::unique_ptr<Regressor> clone() const override {
     return std::make_unique<RandomForestRegressor>(params_);
   }

@@ -30,6 +30,14 @@ public:
   /// be evaluated in a more cache-friendly order than row-by-row.
   virtual std::vector<double> predict_many(const Matrix& x) const;
 
+  /// Predicts a frequency-style sweep: out[i] is exactly, bit for bit,
+  /// predict_one([prefix..., sweep[i]]) — rows that share every feature
+  /// but the last. The base implementation builds those rows and calls
+  /// predict_many; RandomForestRegressor overrides it with one interval
+  /// walk per tree over the sorted sweep (DESIGN.md §7.10).
+  virtual std::vector<double> predict_sweep(std::span<const double> prefix,
+                                            std::span<const double> sweep) const;
+
   std::vector<double> predict(const Matrix& x) const {
     return predict_many(x);
   }

@@ -88,6 +88,19 @@ public:
   static DecisionTreeRegressor from_nodes(TreeParams params,
                                           std::vector<TreeNode> nodes);
 
+  /// The per-tree half of RandomForestRegressor::predict_sweep: adds this
+  /// tree's prediction for every row [prefix..., sorted_sweep[i]] into
+  /// acc[i], in one depth-first walk that carries a range of the sweep.
+  /// A split on a prefix feature follows one child; a split on the last
+  /// column cuts the range where `x <= threshold` stops holding, the
+  /// predict_one predicate, so ties route exactly as row by row. Each row
+  /// receives exactly its predict_one leaf value, added once.
+  /// `sorted_sweep` must be ascending with any NaNs last;
+  /// acc.size() == sorted_sweep.size().
+  void accumulate_sweep(std::span<const double> prefix,
+                        std::span<const double> sorted_sweep,
+                        std::span<double> acc) const;
+
   const TreeParams& params() const noexcept { return params_; }
   std::size_t node_count() const noexcept { return nodes_.size(); }
   int depth() const noexcept { return depth_; }

@@ -14,7 +14,9 @@
 // The whole simulation runs in simulated time, like serve::ServeLoop, and
 // is bit-identical for any DSEM_THREADS:
 //  - Model inference is batched up front (one prediction per job, fanned
-//    across the thread pool into pre-sized slots via predict_many).
+//    across the thread pool into pre-sized slots; each prediction is one
+//    forest sweep over the job's candidate clocks, ml::Regressor::
+//    predict_sweep).
 //  - Admission, placement, and clock selection run serially in arrival
 //    order over those precomputed predictions.
 //  - Each job executes on a replica device whose noise stream is seeded

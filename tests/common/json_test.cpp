@@ -150,6 +150,56 @@ TEST(JsonParser, RejectsMalformedDocuments) {
   }
 }
 
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+std::string nested_objects(std::size_t depth) {
+  std::string text;
+  for (std::size_t i = 0; i < depth; ++i) {
+    text += "{\"a\":";
+  }
+  text += "1";
+  text += std::string(depth, '}');
+  return text;
+}
+
+void expect_nesting_error(const std::string& text) {
+  try {
+    Value::parse(text);
+    FAIL() << "expected contract_error";
+  } catch (const contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JsonParser, DeeplyNestedArraysFailInsteadOfOverflowingTheStack) {
+  expect_nesting_error(nested_arrays(100000));
+  expect_nesting_error("[" + nested_arrays(100000)); // unterminated too
+}
+
+TEST(JsonParser, DeeplyNestedObjectsFailInsteadOfOverflowingTheStack) {
+  expect_nesting_error(nested_objects(100000));
+}
+
+TEST(JsonParser, AcceptsNestingUpToTheLimitAndRejectsOneMore) {
+  const Value arrays = Value::parse(nested_arrays(512));
+  EXPECT_EQ(arrays.as_array().size(), 1u);
+  EXPECT_EQ(Value::parse(nested_objects(512)).at("a").as_object().size(), 1u);
+  expect_nesting_error(nested_arrays(513));
+  expect_nesting_error(nested_objects(513));
+  // Depth counts open containers, not containers seen: wide documents of
+  // shallow siblings parse however many there are.
+  std::string wide = "[";
+  for (int i = 0; i < 1000; ++i) {
+    wide += i == 0 ? "[[]]" : ",[[]]";
+  }
+  wide += "]";
+  EXPECT_EQ(Value::parse(wide).as_array().size(), 1000u);
+}
+
 TEST(JsonParser, WriteToStreamMatchesDump) {
   const Value v = Value::parse(R"({"k":[1,2.5,"s"]})");
   std::ostringstream os;
